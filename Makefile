@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build build-examples fmt-check vet lint test race bench bench-smoke ci \
 	fuzz-smoke cover golden golden-thrash bench-json bench-json-smoke \
-	bench-compare bench-compare-smoke serve-smoke serve-chaos
+	bench-compare bench-compare-smoke serve-smoke serve-chaos prop-soak
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,16 @@ fuzz-smoke:
 		echo "fuzzing $$pkg $$tgt for $(FUZZTIME)"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$tgt$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+
+# Property soak: every TestProp property at PROPTEST_ITERS iterations
+# on an optimized build. Run it after any change to a scan kernel: the
+# go1.24.0 miscompiles the //go:noinline group kernels and the Load+CAS
+# setSeenBit work around show up only in optimized builds (-race and
+# -N builds are correct), so `make race` cannot stand in for it. The
+# nightly workflow runs it at PROPTEST_ITERS=100000.
+PROPTEST_ITERS ?= 1500
+prop-soak:
+	PROPTEST_ITERS=$(PROPTEST_ITERS) $(GO) test -count=1 -timeout 170m -run 'TestProp' ./internal/proptest
 
 # Coverage with a floor on internal/... — the packages carrying the
 # correctness arguments. The floor trails the current level (91%+) far

@@ -128,12 +128,14 @@ func requestBody(mode string, seed uint64, i int) (path, body string) {
 	horizon := 1024 * (1 + (h>>8)%4)
 	if h%3 == 0 {
 		// Coalition fleet: every agent hops the same block, so one
-		// schedule backs the whole fleet and the engine's table
-		// fetches hit the shared cache even on a cold single worker —
-		// the hits the serve-smoke stats assertion counts on.
+		// schedule backs the whole fleet. The horizon spans at least two
+		// of its 26,880-slot periods, so the engine compiles it through
+		// the shared cache and the table fetches hit even on a cold
+		// single worker — the hits the serve-smoke stats assertion
+		// counts on.
 		return "/v1/jobs", fmt.Sprintf(
 			`{"Scenario":{"N":12,"Agents":8,"Block":[1,2,5,%d],"Seed":%d,"Horizon":%d},"IncludeMeetings":true}`,
-			7+(h>>4)%4, fleetSeed, horizon)
+			7+(h>>4)%4, fleetSeed, 64*horizon)
 	}
 	return "/v1/jobs", fmt.Sprintf(
 		`{"Scenario":{"N":12,"Agents":8,"K":4,"Seed":%d,"Horizon":%d},"IncludeMeetings":true}`,

@@ -7,14 +7,18 @@ import (
 )
 
 // TestBlockEvalEquivalence is the end-to-end regression for the block
-// evaluation layer: every experiment driver must render a byte-identical
-// report whether the simulator consumes schedules in compiled blocks
-// (the default) or through the original per-slot paths. A failure means
-// some ChannelBlock or compiled table diverged from its Channel.
+// evaluation layer's horizon-prefix tables: every experiment driver
+// must render a byte-identical report whether the simulator replays
+// prefix tables for schedules too long to compile (the default) or
+// evaluates each of their blocks afresh through ChannelBlock. A failure
+// means a prefix table diverged from the schedule that produced it.
+// (Channel ≡ ChannelBlock is pinned per schedule by the schedtest
+// conformance suite, and every engine path against the per-slot oracle
+// by internal/proptest.)
 //
-// The test toggles a process-wide switch, so it must not run in
-// parallel with other tests (the parallel determinism tests are held
-// until sequential tests finish, so ordering is safe).
+// The test sets a process-wide budget, so it must not run in parallel
+// with other tests (the parallel determinism tests are held until
+// sequential tests finish, so ordering is safe).
 func TestBlockEvalEquivalence(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -35,14 +39,13 @@ func TestBlockEvalEquivalence(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 7, Workers: 4}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			prev := simulator.SetBlockEval(false)
-			perSlot := d.f(cfg).String()
-			simulator.SetBlockEval(true)
-			block := d.f(cfg).String()
-			simulator.SetBlockEval(prev)
-			if block != perSlot {
-				t.Errorf("block and per-slot reports diverged:\n--- per-slot ---\n%s\n--- block ---\n%s",
-					perSlot, block)
+			withPrefix := d.f(cfg).String()
+			prev := simulator.SetPrefixBudget(0)
+			noPrefix := d.f(cfg).String()
+			simulator.SetPrefixBudget(prev)
+			if noPrefix != withPrefix {
+				t.Errorf("reports with and without prefix tables diverged:\n--- without ---\n%s\n--- with ---\n%s",
+					noPrefix, withPrefix)
 			}
 		})
 	}

@@ -92,14 +92,17 @@ func (c FleetCase) Build() ([]simulator.Agent, simulator.Environment, error) {
 	return c.Sc.Build(build)
 }
 
-// CheckFleetEngines is the engine-equivalence oracle: the block-
-// evaluated joint engine, the per-slot reference path, the pairwise
-// parallel decomposition, and the time-sharded joint engine must all
-// reproduce the brute-force oracle meeting for meeting, under whatever
-// dynamics the scenario has. The sharded path runs at several worker
-// counts because each count induces a different window partition of the
-// time axis — partition invariance is exactly the property its exact-
-// decomposition argument rests on. When the scenario carries a contact
+// CheckFleetEngines is the engine-equivalence oracle: the serial joint
+// engine, the pairwise parallel decomposition, and the time-sharded
+// joint engine must all reproduce the brute-force oracle (ReferenceRun,
+// the one per-slot transcription of the slot model) meeting for
+// meeting, under whatever dynamics the scenario has. Oracle-sized
+// fleets sit far below RunParallelEnv's joint band, so it runs the
+// pairwise decomposition, and the joint decompositions are called
+// directly. The sharded path runs at several worker counts because
+// each count induces a different window partition of the time axis —
+// partition invariance is exactly the property its exact-decomposition
+// argument rests on. When the scenario carries a contact
 // grid, the contact-sparse engine must additionally reproduce the
 // oracle restricted to in-range pairs, under both pair-state layouts.
 func CheckFleetEngines(c FleetCase) error {
@@ -114,12 +117,6 @@ func CheckFleetEngines(c FleetCase) error {
 	}
 	if err := sameMeetings(want, ResultMeetings(eng.RunEnv(c.Sc.Horizon, env))); err != nil {
 		return fmt.Errorf("block engine vs oracle: %w", err)
-	}
-	prev := simulator.SetBlockEval(false)
-	slots := eng.RunEnv(c.Sc.Horizon, env)
-	simulator.SetBlockEval(prev)
-	if err := sameMeetings(want, ResultMeetings(slots)); err != nil {
-		return fmt.Errorf("per-slot engine vs oracle: %w", err)
 	}
 	if err := sameMeetings(want, ResultMeetings(eng.RunParallelEnv(c.Sc.Horizon, 3, env))); err != nil {
 		return fmt.Errorf("pairwise parallel engine vs oracle: %w", err)

@@ -18,9 +18,10 @@
 //     agent-permutation invariance must leave meeting structure
 //     unchanged; ChannelBlock ≡ Channel; Compile(s) ≡ s;
 //   - engine equivalence: the integer-indexed block engine, the
-//     per-slot reference path, and the pairwise parallel decomposition
-//     must agree with an independent brute-force oracle engine under
-//     random scenarios with churn, primary users, and jammers;
+//     pairwise parallel decomposition, and the sharded, inverted and
+//     contact-sparse joint scans must agree with an independent
+//     brute-force oracle engine under random scenarios with churn,
+//     primary users, and jammers;
 //   - paper bounds: every generated symmetric/asymmetric pair must
 //     rendezvous within its theoretical TTR upper bound;
 //   - scenario determinism: fleet derivation and environment decisions

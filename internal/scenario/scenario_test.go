@@ -118,8 +118,7 @@ func TestEnvironmentPure(t *testing.T) {
 // TestRunMatchesJointUnderDynamics is the scenario-level equivalence
 // regression: under churn + primary users + jammer, the joint engine
 // (RunEnv) and the pairwise decomposition (RunParallelEnv) must agree
-// meeting-for-meeting at every worker count, on both the block and the
-// per-slot reference paths.
+// meeting-for-meeting at every worker count.
 func TestRunMatchesJointUnderDynamics(t *testing.T) {
 	sc := testScenario()
 	build, err := BuilderFor("ours", sc.N, sc.Seed)
@@ -137,23 +136,18 @@ func TestRunMatchesJointUnderDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range []bool{true, false} {
-		prev := simulator.SetBlockEval(block)
-		want := eng.RunEnv(sc.Horizon, env)
-		for _, workers := range []int{1, 4} {
-			got := eng.RunParallelEnv(sc.Horizon, workers, env)
-			if got.MetCount() != want.MetCount() {
-				t.Fatalf("block=%v workers=%d: %d meetings, joint %d",
-					block, workers, got.MetCount(), want.MetCount())
-			}
-			for _, m := range want.Meetings() {
-				g, ok := got.Meeting(m.A, m.B)
-				if !ok || g != m {
-					t.Fatalf("block=%v workers=%d: meeting %v != %v (ok=%v)", block, workers, g, m, ok)
-				}
+	want := eng.RunEnv(sc.Horizon, env)
+	for _, workers := range []int{1, 4} {
+		got := eng.RunParallelEnv(sc.Horizon, workers, env)
+		if got.MetCount() != want.MetCount() {
+			t.Fatalf("workers=%d: %d meetings, joint %d", workers, got.MetCount(), want.MetCount())
+		}
+		for _, m := range want.Meetings() {
+			g, ok := got.Meeting(m.A, m.B)
+			if !ok || g != m {
+				t.Fatalf("workers=%d: meeting %v != %v (ok=%v)", workers, g, m, ok)
 			}
 		}
-		simulator.SetBlockEval(prev)
 	}
 }
 

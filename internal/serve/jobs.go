@@ -199,12 +199,12 @@ func (j *Job) setRunning() bool {
 // finish moves the job to a terminal status, reporting whether this
 // call made the transition. Terminal states are sticky: a worker
 // completing a run races DELETE's immediate cancel, and whichever
-// lands first wins while the loser becomes a no-op (close(done) must
-// fire exactly once).
+// lands first wins while the loser becomes a no-op. The winner must
+// close done exactly once (see Manager.finishJob).
 func (j *Job) finish(status JobStatus, res *JobResult, err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
-		j.mu.Unlock()
 		return false
 	}
 	j.status = status
@@ -213,8 +213,6 @@ func (j *Job) finish(status JobStatus, res *JobResult, err error) bool {
 		j.err = err.Error()
 	}
 	j.doneAt = time.Now()
-	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
@@ -404,6 +402,9 @@ func (m *Manager) finishJob(j *Job, status JobStatus, res *JobResult, err error)
 		delete(m.fleetActive, j.fleet)
 	}
 	m.mu.Unlock()
+	// Waiters wake only once the quota slot is free, so one that
+	// resubmits the same fleet shape right away is admitted.
+	close(j.done)
 }
 
 // Cancel stops the job with the given id. A queued job is finished

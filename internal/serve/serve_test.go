@@ -448,7 +448,10 @@ func TestStatsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec, _ := json.Marshal(testSpec(5, 1024))
+	// A horizon past twice the fleet's 26,880-slot period, so the job
+	// compiles its schedules through the table cache (shorter pairwise
+	// jobs read schedules only and never touch it).
+	spec, _ := json.Marshal(testSpec(5, 1<<16))
 	_, body := postJSON(t, ts, "/v1/jobs", string(spec))
 	var sub SubmitResponse
 	if err := json.Unmarshal(body, &sub); err != nil {

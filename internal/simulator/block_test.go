@@ -38,7 +38,7 @@ func mixedSchedule(t *testing.T, rng *rand.Rand, n int, set []int) schedule.Sche
 
 // TestPairTTRBlockEquivalence sweeps randomized schedule pairs and wake
 // offsets and requires the block-evaluated PairTTR to agree exactly
-// with the per-slot reference scan.
+// with a per-slot scan over each schedule's own Channel.
 func TestPairTTRBlockEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 32
@@ -49,12 +49,8 @@ func TestPairTTRBlockEquivalence(t *testing.T) {
 		wakeA, wakeB := rng.Intn(1000), rng.Intn(1000)
 		horizon := 1 + rng.Intn(100_000)
 
-		prev := SetBlockEval(false)
-		wantTTR, wantOK := PairTTR(a, b, wakeA, wakeB, horizon)
-		SetBlockEval(true)
+		wantTTR, wantOK := perSlotTTR(a, b, wakeA, wakeB, horizon)
 		gotTTR, gotOK := PairTTR(a, b, wakeA, wakeB, horizon)
-		SetBlockEval(prev)
-
 		if gotTTR != wantTTR || gotOK != wantOK {
 			t.Fatalf("trial %d: block PairTTR = (%d,%v), per-slot = (%d,%v)",
 				trial, gotTTR, gotOK, wantTTR, wantOK)
@@ -62,46 +58,16 @@ func TestPairTTRBlockEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineBlockEquivalence requires Run and RunParallel (at several
-// worker counts) to produce identical meeting sets with block
-// evaluation on and off, over randomized multi-agent fleets.
-func TestEngineBlockEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 32
-	for trial := 0; trial < 10; trial++ {
-		agents := make([]Agent, 2+rng.Intn(5))
-		for i := range agents {
-			w := RandomOverlappingPair(rng, n, 1+rng.Intn(4), 1+rng.Intn(4))
-			agents[i] = Agent{
-				Name:  fmt.Sprintf("a%d", i),
-				Sched: mixedSchedule(t, rng, n, w.A),
-				Wake:  rng.Intn(500),
-			}
-		}
-		horizon := 1 + rng.Intn(60_000)
-		eng, err := NewEngine(agents)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		prev := SetBlockEval(false)
-		want := renderMeetings(eng.Run(horizon))
-		SetBlockEval(true)
-		results := map[string]*Result{
-			"Run":                  eng.Run(horizon),
-			"RunParallel(1)":       eng.RunParallel(horizon, 1),
-			"RunParallel(4)":       eng.RunParallel(horizon, 4),
-			"RunParallel(default)": eng.RunParallel(horizon, 0),
-		}
-		SetBlockEval(prev)
-
-		for name, res := range results {
-			if got := renderMeetings(res); got != want {
-				t.Fatalf("trial %d: %s diverged from per-slot Run:\nblock: %s\nslots: %s",
-					trial, name, got, want)
-			}
+// perSlotTTR is PairTTR transcribed slot by slot: one Channel call per
+// schedule per slot, no blocks, no pooled buffers.
+func perSlotTTR(a, b schedule.Schedule, wakeA, wakeB, horizon int) (ttr int, ok bool) {
+	start := max(wakeA, wakeB)
+	for s := 0; s < horizon; s++ {
+		if a.Channel(start+s-wakeA) == b.Channel(start+s-wakeB) {
+			return s, true
 		}
 	}
+	return 0, false
 }
 
 func renderMeetings(r *Result) string {

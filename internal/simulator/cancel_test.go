@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rendezvous/internal/tablecache"
@@ -16,10 +17,10 @@ type cancelKernel struct {
 	run     func(s *Session, horizon, workers int) *Result
 }
 
-// cancelKernels covers all four scan kernels. Each build forces its
-// kernel's routing (restored by the returned cleanup), so the tests pin
-// the cancellation seam per kernel rather than whatever the crossover
-// heuristics happen to pick for a small test fleet.
+// cancelKernels covers all four scan kernels. Each build picks a fleet
+// (and, where a small fleet would not reach its kernel, a routing floor
+// restored by the returned cleanup) that routes to its kernel, so the
+// tests pin the cancellation seam per kernel.
 func cancelKernels() []cancelKernel {
 	parallel := func(s *Session, horizon, workers int) *Result {
 		return s.RunParallelEnv(horizon, workers, nil)
@@ -32,12 +33,13 @@ func cancelKernels() []cancelKernel {
 			name:    "pairwise",
 			workers: []int{1, 3},
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+				// 10 agents sit far below the joint band, so RunParallelEnv
+				// routes to the pairwise kernel.
 				eng, err := NewEngine(jointTestFleet(t, rng, 10))
 				if err != nil {
 					t.Fatal(err)
 				}
-				prev := SetJointCrossover(1 << 30) // never joint: pin the pairwise kernel
-				return eng, func() { SetJointCrossover(prev) }
+				return eng, func() {}
 			},
 			run: parallel,
 		},
@@ -157,8 +159,8 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCancelSerialRun covers the serial block and per-slot paths (RunEnv
-// under a session), which share the same block-cadence poll discipline.
+// TestCancelSerialRun covers the serial joint path (RunEnv under a
+// session), which polls at the same block cadence.
 func TestCancelSerialRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	eng, err := NewEngine(jointTestFleet(t, rng, 8))
@@ -166,32 +168,28 @@ func TestCancelSerialRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 4096
-	for _, blocks := range []bool{true, false} {
-		prev := SetBlockEval(blocks)
-		want := renderMeetings(eng.RunEnv(horizon, nil))
-		sess := eng.Session()
-		canc := &Canceler{}
-		canc.CancelAfterPolls(3)
-		sess.SetCanceler(canc)
-		partial := sess.RunEnv(horizon, nil)
-		// The serial scans advance strictly in time order, so a cancelled
-		// run is an exact horizon prefix: every recorded meeting must
-		// appear verbatim in the full run.
-		full := map[[2]string]Meeting{}
-		for _, m := range eng.RunEnv(horizon, nil).Meetings() {
-			full[[2]string{m.A, m.B}] = m
+	want := renderMeetings(eng.RunEnv(horizon, nil))
+	sess := eng.Session()
+	canc := &Canceler{}
+	canc.CancelAfterPolls(3)
+	sess.SetCanceler(canc)
+	partial := sess.RunEnv(horizon, nil)
+	// The serial scan advances strictly in time order, so a cancelled
+	// run is an exact horizon prefix: every recorded meeting must appear
+	// verbatim in the full run.
+	full := map[[2]string]Meeting{}
+	for _, m := range eng.RunEnv(horizon, nil).Meetings() {
+		full[[2]string{m.A, m.B}] = m
+	}
+	for _, m := range partial.Meetings() {
+		if full[[2]string{m.A, m.B}] != m {
+			t.Fatalf("cancelled serial run recorded %+v not in full run", m)
 		}
-		for _, m := range partial.Meetings() {
-			if full[[2]string{m.A, m.B}] != m {
-				t.Fatalf("blocks=%v: cancelled serial run recorded %+v not in full run", blocks, m)
-			}
-		}
-		sess.SetCanceler(nil)
-		sess.Reset()
-		if got := renderMeetings(sess.RunEnv(horizon, nil)); got != want {
-			t.Fatalf("blocks=%v: post-cancel serial re-run diverged:\n got %s\nwant %s", blocks, got, want)
-		}
-		SetBlockEval(prev)
+	}
+	sess.SetCanceler(nil)
+	sess.Reset()
+	if got := renderMeetings(sess.RunEnv(horizon, nil)); got != want {
+		t.Fatalf("post-cancel serial re-run diverged:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -221,5 +219,50 @@ func TestCancelLeavesNoPins(t *testing.T) {
 				t.Fatalf("cancelled runs leaked pins: %+v", st)
 			}
 		})
+	}
+}
+
+// cancelRaceEnv forces one interleaving of a two-worker sharded run
+// over windows [0, 512) and [512, 1024): the worker in the first window
+// blocks at slot 0 until the worker in the second window has consulted
+// slot 512, which cancels the run and then lets that second worker
+// record the fleet's last hit — so the early exit fires while the first
+// window, which holds the pair's true first meeting at slot 300, is
+// still in flight.
+type cancelRaceEnv struct {
+	c       *Canceler
+	release chan struct{}
+	once    sync.Once
+}
+
+func (e *cancelRaceEnv) Available(ch, t int) bool {
+	switch t {
+	case 0:
+		<-e.release
+	case 512:
+		e.once.Do(func() {
+			e.c.Cancel()
+			close(e.release)
+		})
+	}
+	return t >= 300
+}
+
+// TestCancelAfterEarlyExit pins the merge frontier when cancellation
+// lands after the early exit: the first window was abandoned before
+// reaching slot 300, so the only hit the run holds (slot 512) is not the
+// pair's first meeting and must not be recorded.
+func TestCancelAfterEarlyExit(t *testing.T) {
+	s := mustCyclic(t, []int{5})
+	eng, err := NewEngine([]Agent{{Name: "a", Sched: s}, {Name: "b", Sched: s}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 1024
+	env := &cancelRaceEnv{c: &Canceler{}, release: make(chan struct{})}
+	res := eng.newResult(horizon)
+	eng.runJointSharded(res, horizon, 2, 512, env, eng.meetablePairs(horizon), scanOccupancy, env.c)
+	if m, ok := res.Meeting("a", "b"); ok {
+		t.Fatalf("cancelled run recorded %+v, but the first meeting is at slot 300", m)
 	}
 }

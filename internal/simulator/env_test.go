@@ -62,12 +62,8 @@ func TestChurnLeaveSuppressesMeetings(t *testing.T) {
 			t.Fatalf("%s: AllMet must ignore pairs with disjoint activity windows", label)
 		}
 	}
-	for _, block := range []bool{true, false} {
-		prev := SetBlockEval(block)
-		check(eng.Run(100), "joint")
-		check(eng.RunParallel(100, 4), "pairwise")
-		SetBlockEval(prev)
-	}
+	check(eng.Run(100), "joint")
+	check(eng.RunParallel(100, 4), "pairwise")
 }
 
 // TestRunEnvNilMatchesRun: a nil environment is exactly the static run.
@@ -100,24 +96,20 @@ func TestEnvironmentDefersMeetings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range []bool{true, false} {
-		prev := SetBlockEval(block)
-		for label, res := range map[string]*Result{
-			"joint":    eng.RunEnv(100, evenSlotsBlocked{}),
-			"pairwise": eng.RunParallelEnv(100, 2, evenSlotsBlocked{}),
-		} {
-			m, ok := res.Meeting("a", "b")
-			if !ok || m.Slot != 1 {
-				t.Fatalf("block=%v %s: want first meeting at slot 1, got %+v ok=%v", block, label, m, ok)
-			}
+	for label, res := range map[string]*Result{
+		"joint":    eng.RunEnv(100, evenSlotsBlocked{}),
+		"pairwise": eng.RunParallelEnv(100, 2, evenSlotsBlocked{}),
+	} {
+		m, ok := res.Meeting("a", "b")
+		if !ok || m.Slot != 1 {
+			t.Fatalf("%s: want first meeting at slot 1, got %+v ok=%v", label, m, ok)
 		}
-		if res := eng.RunEnv(100, channelBlocked(5)); res.MetCount() != 0 {
-			t.Fatalf("block=%v: blocked channel still met: %d", block, res.MetCount())
-		}
-		if res := eng.RunParallelEnv(100, 2, channelBlocked(5)); res.MetCount() != 0 {
-			t.Fatalf("block=%v: blocked channel still met (pairwise): %d", block, res.MetCount())
-		}
-		SetBlockEval(prev)
+	}
+	if res := eng.RunEnv(100, channelBlocked(5)); res.MetCount() != 0 {
+		t.Fatalf("blocked channel still met: %d", res.MetCount())
+	}
+	if res := eng.RunParallelEnv(100, 2, channelBlocked(5)); res.MetCount() != 0 {
+		t.Fatalf("blocked channel still met (pairwise): %d", res.MetCount())
 	}
 }
 

@@ -68,8 +68,8 @@ func init() { invertedFloor.Store(defaultInvertedFloor) }
 
 // SetInvertedFloor repoints the agent-count crossover above which the
 // joint scans use the inverted-index engine, returning the previous
-// floor. Like SetBlockEval it exists for equivalence tests and
-// calibration; the crossover is purely a performance choice.
+// floor. It exists for equivalence tests and calibration; the
+// crossover is purely a performance choice.
 func SetInvertedFloor(agents int) (previous int) {
 	return int(invertedFloor.Swap(int64(agents)))
 }
@@ -100,11 +100,10 @@ func metTemplateBytes(n int) int64 {
 // scan for dense fleets at or above the inverted floor (the wide
 // variant past the register-resident member cap, while the met
 // template fits invertedWideBudget), and the occupancy scan otherwise.
-// Per-slot reference mode and horizons whose slot keys overflow the
-// int32 stamps force the occupancy path, whose serial fallbacks handle
-// them.
+// Horizons whose slot keys overflow the int32 stamps force the
+// occupancy path, whose serial fallback handles them.
 func (e *Engine) scanKindFor(horizon int) scanKind {
-	if !blockEval.Load() || horizon >= math.MaxInt32 {
+	if horizon >= math.MaxInt32 {
 		return scanOccupancy
 	}
 	if e.ps.rowBase == nil {

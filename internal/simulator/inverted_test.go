@@ -90,8 +90,8 @@ func TestInvertedScratchReuse(t *testing.T) {
 }
 
 // TestScanKindGates pins the routing predicate itself: the floor
-// comparison is inclusive, per-slot reference mode opts out, and
-// horizons whose slot keys overflow the int32 stamps opt out.
+// comparison is inclusive, and horizons whose slot keys overflow the
+// int32 stamps opt out.
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	eng, err := NewEngine(jointTestFleet(t, rng, 8))
@@ -110,11 +110,5 @@ func TestScanKindGates(t *testing.T) {
 	SetInvertedFloor(0)
 	if k := eng.scanKindFor(math.MaxInt32); k != scanOccupancy {
 		t.Fatalf("int32-overflowing horizon must not route inverted, got %v", k)
-	}
-	pb := SetBlockEval(false)
-	k := eng.scanKindFor(1000)
-	SetBlockEval(pb)
-	if k != scanOccupancy {
-		t.Fatalf("per-slot reference mode must not route inverted, got %v", k)
 	}
 }

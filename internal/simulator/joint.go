@@ -95,7 +95,7 @@ func (k scanKind) route() Route {
 // runJointParallelEnvInto is the shared body, writing into the
 // caller-owned result; meetable is the caller's meetablePairs(horizon)
 // count, so routing callers that already counted (RunParallelEnv's
-// crossover test) never scan the pair space twice.
+// routing rule) never scan the pair space twice.
 func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env Environment, meetable int, c *Canceler) *Result {
 	if horizon <= 0 {
 		e.setRoute(RouteSerial)
@@ -112,17 +112,13 @@ func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env 
 	// scan (even single-worker: the win is algorithmic, not parallel —
 	// see inverted.go), and contact fleets with sparse pair state take
 	// the cell-filtered scan. Otherwise, degenerate shapes (one worker,
-	// one window, per-slot reference mode, or a horizon whose slots
-	// overflow the int32 hit encoding) take the serial joint path,
-	// which is the same computation.
+	// one window, or a horizon whose slots overflow the int32 hit
+	// encoding) take the serial joint path, which is the same
+	// computation.
 	kind := e.scanKindFor(horizon)
-	if kind == scanOccupancy && (workers <= 1 || horizon >= math.MaxInt32 || !blockEval.Load()) {
+	if kind == scanOccupancy && (workers <= 1 || horizon >= math.MaxInt32) {
 		e.setRoute(RouteSerial)
-		if blockEval.Load() {
-			e.runBlock(res, horizon, env, meetable, c)
-		} else {
-			e.runSlots(res, horizon, env, meetable, c)
-		}
+		e.runBlock(res, horizon, env, meetable, c)
 		return res
 	}
 	e.setRoute(kind.route())
@@ -238,16 +234,22 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 	// global first meeting. On a cancelled run the minimum is only
 	// trustworthy up to the first incomplete window — a hit beyond that
 	// frontier may not be its pair's first — so the merge discards
-	// everything past it (unless done fired first, in which case every
-	// meetable pair already holds its exact first hit).
+	// everything past it. Windows the early exit never claimed do not
+	// count as incomplete: once done fired, every meetable pair holds a
+	// hit from a claimed window, all of which lie earlier. But done does
+	// not excuse a claimed window that cancellation abandoned, which may
+	// hold a pair's true first meeting.
 	limit := int32(math.MaxInt32)
-	if c.Canceled() && !done.Load() {
+	if c.Canceled() {
 		frontier := windows
 		for wi := range winOK {
 			if !winOK[wi].Load() {
 				frontier = wi
 				break
 			}
+		}
+		if done.Load() && int64(frontier) >= nextWin.Load() {
+			frontier = windows
 		}
 		limit = int32(min(int64(frontier)*int64(window), int64(horizon))) + 1
 	}

@@ -63,7 +63,7 @@ func TestJointShardedPartitionInvariance(t *testing.T) {
 }
 
 // TestRunJointParallelMatchesRun drives the public entry points across
-// worker counts, environments, and both evaluation modes.
+// worker counts and environments.
 func TestRunJointParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	fleet := jointTestFleet(t, rng, 9)
@@ -78,12 +78,6 @@ func TestRunJointParallelMatchesRun(t *testing.T) {
 			if got := renderMeetings(eng.RunJointParallelEnv(horizon, workers, env)); got != want {
 				t.Fatalf("env=%v workers=%d: got %s want %s", env, workers, got, want)
 			}
-		}
-		prev := SetBlockEval(false)
-		got := renderMeetings(eng.RunJointParallelEnv(horizon, 4, env))
-		SetBlockEval(prev)
-		if got != want {
-			t.Fatalf("env=%v slots-mode fallback diverged: got %s want %s", env, got, want)
 		}
 	}
 	if got := renderMeetings(eng.RunJointParallel(horizon, 3)); got != renderMeetings(eng.Run(horizon)) {
@@ -129,12 +123,12 @@ func TestRunJointParallelDegenerate(t *testing.T) {
 }
 
 // TestRunParallelJointCrossover exercises RunParallelEnv's routing to
-// the sharded joint engine: a fleet large enough to exceed the
-// crossover band must still reproduce the serial joint result exactly
-// (the crossover is a performance choice, never a semantic one).
+// the joint engine: a fleet above the joint band's ceiling must still
+// reproduce the serial joint result exactly (routing is a performance
+// choice, never a semantic one).
 func TestRunParallelJointCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const agents = 240 // ~28k pairs, well past autoCrossHi even after disjoint-set pruning
+	const agents = 240 // ~28k pairs, well past jointPairCeiling even after disjoint-set pruning
 	fleet := make([]Agent, agents)
 	for i := range fleet {
 		seq := []int{1 + rng.Intn(6), 1 + rng.Intn(6), 1 + rng.Intn(6)}
@@ -148,13 +142,16 @@ func TestRunParallelJointCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.meetablePairs(256); n <= autoCrossHi {
-		t.Fatalf("fleet too small to cross over: %d pairs", n)
+	if n := eng.meetablePairs(256); n <= jointPairCeiling {
+		t.Fatalf("fleet too small to route joint: %d pairs", n)
 	}
 	want := renderMeetings(eng.RunEnv(256, evenSlotsBlocked{}))
 	for _, workers := range []int{1, 4} {
 		if got := renderMeetings(eng.RunParallelEnv(256, workers, evenSlotsBlocked{})); got != want {
-			t.Fatalf("workers=%d: crossover path diverged from serial joint run", workers)
+			t.Fatalf("workers=%d: joint route diverged from serial joint run", workers)
+		}
+		if r := eng.LastRoute(); r == RoutePairwise {
+			t.Fatalf("workers=%d: routed %v, want a joint route", workers, r)
 		}
 	}
 }

@@ -273,3 +273,29 @@ func simRestoreCache(t *testing.T) func() {
 	prev := SetTableCache(tablecache.New(tablecache.DefaultBudget))
 	return func() { SetTableCache(prev) }
 }
+
+// TestPairwiseRunBuildsNoTables pins the pairwise path's table
+// footprint: its scans read schedules only, so a pairwise run over
+// schedules too long to compile leaves nothing in the table cache —
+// no dense or horizon-prefix tables it would never read.
+func TestPairwiseRunBuildsNoTables(t *testing.T) {
+	cache := tablecache.New(tablecache.DefaultBudget)
+	prev := SetTableCache(cache)
+	defer SetTableCache(prev)
+	eng, err := NewEngine(prefixFleet(t, 8, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const horizon = 1024
+	sess := eng.Session()
+	if n := sess.RunParallelEnv(horizon, 1, nil).MetCount(); n == 0 {
+		t.Fatal("fleet never met — the run measured nothing")
+	}
+	if r := eng.LastRoute(); r != RoutePairwise {
+		t.Fatalf("8-agent fleet routed %v, want pairwise", r)
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Fatalf("pairwise run touched the table cache: %+v", st)
+	}
+}

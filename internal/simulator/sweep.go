@@ -38,15 +38,14 @@ func (s TTRStats) Mean() float64 {
 // and total at most twice the cost of the optimal choice. Compilation
 // goes through the shared table cache, so repeated sweeps over the same
 // pair pay the unroll once, ever. It never changes results (tables are
-// verified equivalents), and the per-slot reference mode
-// (SetBlockEval(false)) skips it entirely.
+// verified equivalents).
 func SweepOffsets(a, b schedule.Schedule, offsets []int, horizon int) TTRStats {
 	var st TTRStats
 	compileAt := 2 * (a.Period() + b.Period()) // ≈ build + verify cost, in slot evaluations
 	scanned := 0
 	compiled := false
 	for _, delta := range offsets {
-		if !compiled && scanned >= compileAt && blockEval.Load() {
+		if !compiled && scanned >= compileAt {
 			// Through the shared table cache: repeated sweeps over the same
 			// pair (chunked drivers, bench iterations) unroll once, ever.
 			cache := currentTableCache()

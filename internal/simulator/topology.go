@@ -82,8 +82,8 @@ func init() { sparseStateFloor.Store(defaultSparseStateFloor) }
 
 // SetSparseStateFloor repoints the fleet size above which contact
 // engines use edge-indexed pair state, returning the previous floor.
-// Like SetBlockEval it exists for equivalence tests; the layout is
-// purely a memory/performance choice.
+// It exists for equivalence tests; the layout is purely a
+// memory/performance choice.
 func SetSparseStateFloor(agents int) (previous int) {
 	return int(sparseStateFloor.Swap(int64(agents)))
 }
@@ -185,7 +185,8 @@ func (ps *pairSpace) forEach(f func(p, i, j int)) {
 // Result (the proptest oracles pin this) — but silent routing has
 // burned us before (fleets over the posting cap quietly fell off the
 // fast path), so the engine records its last decision for tests,
-// benches, and calibration to observe.
+// benches, and telemetry to observe. The decision is a pure function of
+// the fleet, the horizon, and the entry point called.
 type Route int32
 
 const (
@@ -193,7 +194,7 @@ const (
 	RouteNone Route = iota
 	// RoutePairwise: independent per-pair scans over the horizon.
 	RoutePairwise
-	// RouteSerial: the serial joint occupancy scan (block or per-slot).
+	// RouteSerial: the serial joint occupancy scan.
 	RouteSerial
 	// RouteSharded: the time-sharded joint occupancy scan.
 	RouteSharded

@@ -159,7 +159,7 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 
 // TestSparseRouteObserved pins the routing observability: a contact
 // engine with CSR pair state reports RouteSparse from the joint entry
-// point, and the serial reference path reports RouteSerial.
+// point, and the serial joint path reports RouteSerial.
 func TestSparseRouteObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	fleet := jointTestFleet(t, rng, 24)
