@@ -123,7 +123,8 @@ bench-compare-smoke:
 		BENCH_METRIC_GATES=slots/sec=-90
 
 # Time-boxed coverage-guided fuzzing over the property oracles
-# (internal/proptest) and the CLI parsers (cmd/benchjson, cmd/rvsim):
+# (internal/proptest), the math/rand-equivalent derivation RNG
+# (internal/sweep) and the CLI parsers (cmd/benchjson, cmd/rvsim):
 # each pkg:Target gets FUZZTIME of mutation on top of its committed
 # seed corpus. Crashers land in the package's testdata/fuzz/ (CI
 # uploads them as artifacts).
@@ -133,6 +134,7 @@ FUZZ_TARGETS = \
 	./internal/proptest:FuzzBlockEquivalence \
 	./internal/proptest:FuzzEngineVsLegacy \
 	./internal/proptest:FuzzScenarioEnv \
+	./internal/sweep:FuzzSource \
 	./cmd/benchjson:FuzzParseBenchLine \
 	./cmd/benchjson:FuzzParseStream \
 	./cmd/rvsim:FuzzParseAgentSpec

@@ -20,6 +20,7 @@ import (
 	"rendezvous/internal/catalan"
 	"rendezvous/internal/experiments"
 	"rendezvous/internal/pairsched"
+	"rendezvous/internal/schedule"
 	"rendezvous/internal/simulator"
 	"rendezvous/internal/sweep"
 	"rendezvous/internal/tablecache"
@@ -705,4 +706,66 @@ func BenchmarkScenarioFleet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- cold-path ledger rows ---------------------------------------------
+
+// BenchmarkScenarioOpen is the derivation ledger row of a cold rvserve
+// job on the sparse4k fleet shape (4,096 agents on the 64×64 contact
+// grid, churn and primary users): Scenario.Open — fleet derivation
+// (channel sets, wakes, positions) plus the contact engine build — then
+// the contact graph, a one-block run, and Fleet.Summarize over it. The
+// horizon is cut to one 256-slot block so the scan stays a small share
+// and the row tracks derivation, engine build and summarize; ns/agent
+// is the per-agent cost of the whole sequence.
+func BenchmarkScenarioOpen(b *testing.B) {
+	const agents = 4096
+	sc := rendezvous.Scenario{
+		N: 128, Agents: agents, K: 4, Seed: 7, Horizon: 256,
+		Churn: rendezvous.Churn{WakeSpread: 2000, LeaveFrac: 0.25, MinLife: 2048, MaxLife: 8192},
+		PU:    rendezvous.PrimaryUsers{Count: 8, Window: 1024, OnFrac: 0.5},
+		Grid:  rendezvous.Grid{Side: 64, Radius: 2.26},
+	}
+	build, err := rendezvous.ScenarioBuilder("ours", sc.N, sc.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fl, err := sc.Open(build)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += fl.Graph().Edges()
+			res := fl.Eng.RunParallelEnv(sc.Horizon, 1, fl.Env)
+			sink += fl.Summarize(res, sc.Horizon).MetPairs
+			fl.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/agents, "ns/agent")
+	})
+}
+
+// BenchmarkSymmetricChannelBlock is the §3.2 fill ledger row: one
+// 256-slot ChannelBlock of the flagship wrapper (Symmetric over
+// General), the call the pairwise scans, DensePrefix and Compile make
+// for every "ours" agent. The start advances each iteration so the
+// inner schedule is evaluated at fresh slots; ns/slot is the per-slot
+// fill cost.
+func BenchmarkSymmetricChannelBlock(b *testing.B) {
+	s, err := rendezvous.New(1024, []int{3, 90, 512, 700})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk, ok := s.(schedule.BlockEvaluator)
+	if !ok {
+		b.Fatal("flagship schedule has no ChannelBlock")
+	}
+	const slots = 256
+	dst := make([]int, slots)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.ChannelBlock(dst, (i*slots+5)%s.Period())
+		sink += dst[slots-1]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/slots, "ns/slot")
 }

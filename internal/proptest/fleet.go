@@ -435,6 +435,48 @@ func CheckScenarioDeterminism(c FleetCase) error {
 	return nil
 }
 
+// CheckFleetSummarize is the coverage oracle: Fleet.Summarize, which
+// reads eligible pairs off the engine's meetable count and folds the
+// rest over the run's met bitset, must equal both per-pair reference
+// definitions — Summarize (all pairs, name lookups) and
+// SummarizeContact (contact edges) — field for field. Contact fleets
+// are checked under both pair-state layouts, and every fleet through
+// one reused session across two horizons, so the per-horizon meetable
+// cache and the recycled met bitset are on the hook too.
+func CheckFleetSummarize(c FleetCase) error {
+	build, err := scenario.BuilderFor(c.Alg, c.Sc.N, c.Sc.Seed)
+	if err != nil {
+		return err
+	}
+	floors := []int{1 << 30}
+	if c.Sc.Grid != (scenario.Grid{}) {
+		floors = append(floors, 0)
+	}
+	for _, floor := range floors {
+		prev := simulator.SetSparseStateFloor(floor)
+		fl, err := c.Sc.Open(build)
+		simulator.SetSparseStateFloor(prev)
+		if err != nil {
+			return fmt.Errorf("open (floor=%d): %w", floor, err)
+		}
+		sess := fl.Eng.Session()
+		for _, h := range []int{c.Sc.Horizon / 2, c.Sc.Horizon} {
+			res := sess.RunParallelEnv(h, 2, fl.Env)
+			want := scenario.Summarize(res, fl.Agents, h)
+			if got := scenario.SummarizeContact(res, fl.Agents, h, fl.Graph()); got != want {
+				fl.Close()
+				return fmt.Errorf("floor=%d horizon=%d: SummarizeContact %+v, Summarize %+v", floor, h, got, want)
+			}
+			if got := fl.Summarize(res, h); got != want {
+				fl.Close()
+				return fmt.Errorf("floor=%d horizon=%d: Fleet.Summarize %+v, Summarize %+v", floor, h, got, want)
+			}
+		}
+		fl.Close()
+	}
+	return nil
+}
+
 // runMeetings runs agents on a fresh engine (joint block path) and
 // returns the canonical meeting map.
 func runMeetings(agents []simulator.Agent, horizon int, env simulator.Environment) (map[[2]string]simulator.Meeting, error) {

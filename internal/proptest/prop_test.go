@@ -3,6 +3,8 @@ package proptest
 import (
 	"math/rand"
 	"testing"
+
+	"rendezvous/internal/scenario"
 )
 
 // All TestProp tests are deterministic: iteration i derives its RNG
@@ -95,6 +97,23 @@ func TestPropFleetTimeShift(t *testing.T) {
 // at any worker count.
 func TestPropSweepPartition(t *testing.T) {
 	ForAll(t, Iters(60), GenSweepCase, CheckSweepPartition, ShrinkSweep)
+}
+
+// TestPropFleetSummarize: Fleet.Summarize's pair-state fold equals the
+// per-pair Summarize and SummarizeContact references. Half the draws
+// carry a contact grid and half are forced dense, so both fleet kinds
+// (and, for contact fleets, both pair-state layouts) run every soak.
+func TestPropFleetSummarize(t *testing.T) {
+	ForAll(t, Iters(40),
+		func(rng *rand.Rand) FleetCase {
+			if rng.Intn(2) == 0 {
+				return GenContactFleetCase(rng)
+			}
+			c := GenFleetCase(rng)
+			c.Sc.Grid = scenario.Grid{}
+			return c
+		},
+		CheckFleetSummarize, ShrinkFleet)
 }
 
 // TestPropScenarioDeterminism: fleet derivation and environment

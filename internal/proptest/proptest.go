@@ -25,7 +25,9 @@
 //   - paper bounds: every generated symmetric/asymmetric pair must
 //     rendezvous within its theoretical TTR upper bound;
 //   - scenario determinism: fleet derivation and environment decisions
-//     are pure functions of the seed at any worker count.
+//     are pure functions of the seed at any worker count, and
+//     Fleet.Summarize's pair-state coverage equals the per-pair
+//     Summarize and SummarizeContact definitions.
 //
 // Native fuzz targets (FuzzCompile, FuzzBlockEquivalence,
 // FuzzEngineVsLegacy, FuzzScenarioEnv) drive the same properties from

@@ -7,6 +7,7 @@ import (
 
 	"rendezvous/internal/schedule"
 	"rendezvous/internal/simulator"
+	"rendezvous/internal/sweep"
 )
 
 // Contact geometry: the spatial side of a scenario.
@@ -77,8 +78,9 @@ func (sc Scenario) contactTopology() *simulator.ContactTopology {
 		Y:      make([]float32, sc.Agents),
 		Radius: sc.Grid.Radius,
 	}
+	rng := rand.New(sweep.NewSource(0)) // reseeded per agent, as in Build
 	for a := 0; a < sc.Agents; a++ {
-		rng := rand.New(rand.NewSource(mix(sc.Seed, streamPos, a)))
+		rng.Seed(mix(sc.Seed, streamPos, a))
 		x := float32(rng.Float64() * sc.Grid.Side)
 		y := float32(rng.Float64() * sc.Grid.Side)
 		ct.X[a], ct.Y[a] = x, y

@@ -23,7 +23,10 @@ type Fleet struct {
 	Env simulator.Environment
 	Eng *simulator.Engine
 
-	sc        Scenario
+	// topo is the contact topology Open derived and built the engine
+	// over (nil without a Grid); Graph builds from it rather than
+	// deriving the positions a second time.
+	topo      *simulator.ContactTopology
 	graphOnce sync.Once
 	graph     *ContactGraph
 }
@@ -36,32 +39,46 @@ func (sc Scenario) Open(build Builder) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := simulator.NewEngineContact(agents, sc.contactTopology())
+	topo := sc.contactTopology()
+	eng, err := simulator.NewEngineContact(agents, topo)
 	if err != nil {
 		return nil, err
 	}
-	return &Fleet{Agents: agents, Env: env, Eng: eng, sc: sc}, nil
+	return &Fleet{Agents: agents, Env: env, Eng: eng, topo: topo}, nil
 }
 
 // Graph returns the contact relation for gridded scenarios (nil
-// otherwise), built lazily on first use — one-shot callers that never
-// summarize (Scenario.Run) skip the adjacency build entirely. The
+// otherwise), built lazily on first use from the topology Open derived
+// — callers that never need the adjacency skip its build entirely. The
 // engine renumbers its copy of the topology internally; the graph
 // indexes agents in build order, exactly as Scenario.ContactGraph
 // derives it.
 func (f *Fleet) Graph() *ContactGraph {
 	f.graphOnce.Do(func() {
-		if ct := f.sc.contactTopology(); ct != nil {
-			f.graph = newContactGraph(ct)
+		if f.topo != nil {
+			f.graph = newContactGraph(f.topo)
 		}
 	})
 	return f.graph
 }
 
-// Summarize computes discovery coverage for a run of this fleet,
-// walking contact edges when gridded and all pairs otherwise.
+// Summarize computes discovery coverage for a run of this fleet
+// straight from the run's pair state (simulator.Engine.Tally): eligible
+// pairs are the engine's meetable-pair count for the horizon, and the
+// met count, mean TTR and last slot fold over the recorded meetings.
+// It equals Summarize and SummarizeContact, the per-pair reference
+// definitions. res must be a run of f.Eng (or a Session on it) at
+// horizon; anything else is a programming error and panics.
 func (f *Fleet) Summarize(res *simulator.Result, horizon int) Coverage {
-	return SummarizeContact(res, f.Agents, horizon, f.Graph())
+	if res.Horizon != horizon {
+		panic("scenario: Fleet.Summarize horizon differs from the run's")
+	}
+	t := f.Eng.Tally(res)
+	cov := Coverage{Agents: len(f.Agents), EligiblePairs: t.Meetable, MetPairs: t.Met, LastSlot: t.LastSlot}
+	if t.Met > 0 {
+		cov.MeanTTR = float64(t.TTRSum) / float64(t.Met)
+	}
+	return cov
 }
 
 // Close releases the engine's pins on shared cache tables (see

@@ -201,11 +201,16 @@ func (sc Scenario) Build(build Builder) ([]simulator.Agent, simulator.Environmen
 	// hub channel with probability 1/2, plus random extras — connected
 	// enough that most pairs are meetable, sparse enough to exercise the
 	// engine's disjoint-pair pruning. A fixed Block overrides all of it.
-	hubRng := rand.New(rand.NewSource(mix(sc.Seed, streamHub, 0)))
-	hub := 1 + hubRng.Intn(sc.N)
+	//
+	// Every stream is a fresh math/rand stream of its derived seed; one
+	// reseeded sweep.Source stands in for a rand.NewSource per agent,
+	// drawing the identical values without allocating or walking a
+	// 607-word register each time.
+	rng := rand.New(sweep.NewSource(mix(sc.Seed, streamHub, 0)))
+	hub := 1 + rng.Intn(sc.N)
 	agents := make([]simulator.Agent, sc.Agents)
 	for a := range agents {
-		rng := rand.New(rand.NewSource(mix(sc.Seed, streamAgent, a)))
+		rng.Seed(mix(sc.Seed, streamAgent, a))
 		var set []int
 		if len(sc.Block) > 0 {
 			set, _ = schedule.ValidateChannels(sc.N, sc.Block)

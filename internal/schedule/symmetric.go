@@ -59,33 +59,45 @@ var innerBufPool = sync.Pool{New: func() any { return new([32]int) }}
 
 // ChannelBlock implements BlockEvaluator: the inner schedule is
 // evaluated in blocks of its own (one inner slot per 12 outer slots)
-// and each inner channel is expanded through the §3.2 pattern, so the
-// wrapper adds no per-slot inner calls.
+// and each inner channel c1 expands to its whole 12-slot block
+// (c0 c1 c0 c0 c1 c1)², copied into dst — clipped at dst's first and
+// last block — so the wrapper does no per-slot division or pattern
+// lookup and adds no per-slot inner calls.
 func (s *Symmetric) ChannelBlock(dst []int, start int) {
 	CheckSlot(start)
+	if len(dst) == 0 {
+		return
+	}
 	bp := innerBufPool.Get().(*[32]int)
 	defer innerBufPool.Put(bp)
-	ibuf := bp[:]
-	for filled := 0; filled < len(dst); {
-		t := start + filled
-		innerStart := t / SymmetricBlockLen
-		innerEnd := (start + len(dst) - 1) / SymmetricBlockLen
-		m := min(innerEnd-innerStart+1, len(ibuf))
-		FillBlock(s.inner, ibuf[:m], innerStart)
-		// Expand the m inner slots we have; stop at dst's end.
-		for ; filled < len(dst); filled++ {
-			t = start + filled
-			in := t / SymmetricBlockLen
-			if in >= innerStart+m {
-				break
+	c0 := s.c0
+	in := start / SymmetricBlockLen
+	last := (start + len(dst) - 1) / SymmetricBlockLen
+	off := start % SymmetricBlockLen // dst[0]'s position in its block
+	out := 0
+	for in <= last {
+		ibuf := bp[:min(last-in+1, len(bp))]
+		FillBlock(s.inner, ibuf, in)
+		for _, c1 := range ibuf {
+			if off == 0 && out+SymmetricBlockLen <= len(dst) {
+				symmetricBlock((*[SymmetricBlockLen]int)(dst[out:]), c0, c1)
+				out += SymmetricBlockLen
+				continue
 			}
-			if symmetricPattern[t%SymmetricBlockLen%6] == 0 {
-				dst[filled] = s.c0
-			} else {
-				dst[filled] = ibuf[in-innerStart]
-			}
+			var b [SymmetricBlockLen]int
+			symmetricBlock(&b, c0, c1)
+			out += copy(dst[out:], b[off:])
+			off = 0
 		}
+		in += len(ibuf)
 	}
+}
+
+// symmetricBlock stores the block played for inner channel c1:
+// symmetricPattern twice, spelled out so it compiles to direct stores
+// with no per-slot lookup.
+func symmetricBlock(b *[SymmetricBlockLen]int, c0, c1 int) {
+	*b = [SymmetricBlockLen]int{c0, c1, c0, c0, c1, c1, c0, c1, c0, c0, c1, c1}
 }
 
 // Period implements Schedule.

@@ -137,3 +137,35 @@ func TestSymmetricStructure(t *testing.T) {
 		}
 	}
 }
+
+// TestSymmetricChannelBlockMatchesChannel pins the copy-based block
+// expansion against the per-slot definition: every start residue mod
+// 12 (so dst opens at every position of a block), every length 0–40
+// (so it closes at every position too, within one or a few blocks),
+// and lengths past 384 slots, where the expansion crosses its 32-slot
+// inner buffer and refills it mid-call.
+func TestSymmetricChannelBlockMatchesChannel(t *testing.T) {
+	inner, err := NewGeneral(64, []int{3, 9, 17, 40, 58})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewSymmetric(inner)
+	lengths := []int{383, 384, 385, 395, 396, 397, 768, 1000}
+	for l := 0; l <= 40; l++ {
+		lengths = append(lengths, l)
+	}
+	for _, base := range []int{0, 12 * 1009} {
+		for r := 0; r < SymmetricBlockLen; r++ {
+			start := base + r
+			for _, l := range lengths {
+				dst := make([]int, l)
+				w.ChannelBlock(dst, start)
+				for i, got := range dst {
+					if want := w.Channel(start + i); got != want {
+						t.Fatalf("start=%d len=%d: slot %d = %d, Channel says %d", start, l, start+i, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -382,3 +382,36 @@ func TestJobTTLEviction(t *testing.T) {
 		t.Fatalf("drain left pins: %+v", rep)
 	}
 }
+
+// TestOversizeBodyRejected pins the request-size cap: a POST body past
+// MaxBodyBytes is refused with 413 on both POST routes — even when it
+// is a valid request padded with whitespace, so the cap is on bytes
+// read, not on what they decode to — while the same request padded to
+// exactly the cap is still served.
+func TestOversizeBodyRejected(t *testing.T) {
+	withIsolatedCache(t)
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Drain(5 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	specJSON, err := json.Marshal(testSpec(11, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/jobs", string(specJSON), http.StatusAccepted},
+		{"/v1/schedule", `{"Alg":"ours","N":8,"Channels":[2,5,7],"Slots":32}`, http.StatusOK},
+	} {
+		pad := func(n int) string { return strings.Repeat(" ", n) + tc.body }
+		if code, body := postJSON(t, ts, tc.path, pad(MaxBodyBytes+1-len(tc.body))); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413 (body %s)", tc.path, MaxBodyBytes+1, code, body)
+		}
+		if code, body := postJSON(t, ts, tc.path, pad(MaxBodyBytes-len(tc.body))); code != tc.ok {
+			t.Fatalf("POST %s with a body of exactly %d bytes: status %d, want %d (body %s)", tc.path, MaxBodyBytes, code, tc.ok, body)
+		}
+	}
+}

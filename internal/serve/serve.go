@@ -105,15 +105,27 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errBody{Error: err.Error()})
 }
 
-// decodeStrict decodes a JSON request body, rejecting unknown fields
-// so spec typos fail loudly instead of silently meaning the default.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes caps a POST body. Request bodies are a channel set or a
+// scenario spec, normally well under a kilobyte; 1 MiB still leaves
+// room for a channel list of over 100,000 entries. A longer body is
+// refused with 413 before it is buffered.
+const MaxBodyBytes = 1 << 20
+
+// decodeStrict decodes a JSON request body of at most MaxBodyBytes,
+// rejecting unknown fields so spec typos fail loudly instead of
+// silently meaning the default. It returns the status to answer a
+// failure with: 413 for an oversize body, 400 otherwise.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode request: %w", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit)
+		}
+		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
-	return nil
+	return 0, nil
 }
 
 // ScheduleRequest asks for one agent's hop sequence.
@@ -147,8 +159,8 @@ type ScheduleResponse struct {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if code, err := decodeStrict(w, r, &req); err != nil {
+		writeErr(w, code, err)
 		return
 	}
 	if req.Alg == "" {
@@ -198,8 +210,8 @@ type SubmitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := decodeStrict(r, &spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if code, err := decodeStrict(w, r, &spec); err != nil {
+		writeErr(w, code, err)
 		return
 	}
 	job, created, err := s.mgr.Submit(spec)

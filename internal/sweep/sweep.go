@@ -14,6 +14,13 @@
 // workloads from a master RNG) and an expensive parallel phase (the
 // measurement sweeps), and the report they produce is a pure function
 // of the seed alone.
+//
+// The per-job RNGs, and every per-item stream the scenario layer
+// derives, come from Source, which emits exactly math/rand's stream for
+// a seed (rand.NewSource) but seeds in O(1). That equality is a
+// contract, not an implementation detail: every committed golden report
+// was produced by math/rand's stream, and TestSourceMatchesMathRand and
+// FuzzSource hold Source to it bit for bit.
 package sweep
 
 import (
@@ -63,9 +70,18 @@ func DeriveSeed(seed int64, job int) int64 {
 // Map evaluates fn(0) … fn(n−1) on the runner's worker pool and returns
 // the results in index order. fn must not depend on evaluation order.
 func Map[T any](r Runner, n int, fn func(job int) T) []T {
+	return mapWorkers(r, n, func() func(int) T { return fn })
+}
+
+// mapWorkers is Map with per-worker state: newWorker runs once on each
+// worker goroutine and returns the job function that worker applies,
+// so workers can own scratch (MapRNG's reseeded Source) without
+// locking.
+func mapWorkers[T any](r Runner, n int, newWorker func() func(job int) T) []T {
 	out := make([]T, n)
 	w := r.workerCount(n)
 	if w == 1 {
+		fn := newWorker()
 		for i := 0; i < n; i++ {
 			out[i] = fn(i)
 		}
@@ -77,6 +93,7 @@ func Map[T any](r Runner, n int, fn func(job int) T) []T {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fn := newWorker()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -90,12 +107,19 @@ func Map[T any](r Runner, n int, fn func(job int) T) []T {
 	return out
 }
 
-// MapRNG is Map for randomized jobs: each job receives a private RNG
-// seeded from (r.Seed, job) only. Two calls with equal seeds and job
-// counts produce identical results at any worker count.
+// MapRNG is Map for randomized jobs: each job receives an RNG seeded
+// from (r.Seed, job) only, emitting exactly the stream of
+// rand.New(rand.NewSource(DeriveSeed(r.Seed, job))). Two calls with
+// equal seeds and job counts produce identical results at any worker
+// count. Each worker reseeds one Source per job, so the RNG is valid
+// only for the duration of fn's call: fn must not retain it.
 func MapRNG[T any](r Runner, n int, fn func(job int, rng *rand.Rand) T) []T {
-	return Map(r, n, func(i int) T {
-		return fn(i, rand.New(rand.NewSource(DeriveSeed(r.Seed, i))))
+	return mapWorkers(r, n, func() func(int) T {
+		rng := rand.New(NewSource(0))
+		return func(i int) T {
+			rng.Seed(DeriveSeed(r.Seed, i))
+			return fn(i, rng)
+		}
 	})
 }
 
