@@ -132,7 +132,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/proptest:FuzzCompile \
 	./internal/proptest:FuzzBlockEquivalence \
-	./internal/proptest:FuzzEngineVsLegacy \
+	./internal/proptest:FuzzEngineVsReference \
 	./internal/proptest:FuzzScenarioEnv \
 	./internal/sweep:FuzzSource \
 	./cmd/benchjson:FuzzParseBenchLine \

@@ -77,14 +77,11 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// printCacheStats reports the shared compiled-table cache and the
-// rolling block cache after a run — the observability half of the table
-// cache: how much schedule build work the run reused vs. recomputed.
+// printCacheStats reports the shared compiled-table cache after a run —
+// the observability half of the table cache: how much schedule build
+// work the run reused vs. recomputed.
 func printCacheStats(out io.Writer) {
 	st := tablecache.Shared().Stats()
-	bs := tablecache.BlockStats()
 	fmt.Fprintf(out, "table cache   hits=%d misses=%d evictions=%d entries=%d bytes=%d\n",
 		st.Hits, st.Misses, st.Evictions, st.Entries, st.Bytes)
-	fmt.Fprintf(out, "block cache   hits=%d misses=%d evictions=%d\n",
-		bs.Hits, bs.Misses, bs.Evictions)
 }

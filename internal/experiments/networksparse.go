@@ -17,9 +17,10 @@ import (
 // column is that ratio, the quantity that lets the engine's sparse scan
 // (pair state and per-slot candidates both O(contact edges)) hold slot
 // throughput roughly flat where the dense engines hit the quadratic
-// wall. The 4,096-agent full-scale row crosses schedule's posting-group
-// cap, so it also exercises the wide-scan routing next to the sparse
-// one.
+// wall. Both full-scale rows route pairwise (eligible pairs at seed 1:
+// 2,590 and 10,760): the 1,024-agent row sits below the joint band,
+// and the 4,096-agent row is a contact fleet with edge-indexed pair
+// state inside the band, where RunParallelEnv keeps the pairwise scan.
 //
 // Every fleet is a scenario derived purely from the seed (positions
 // included, stream 505), each (fleet, algorithm) cell is one sweep job,

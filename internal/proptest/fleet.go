@@ -98,13 +98,14 @@ func (c FleetCase) Build() ([]simulator.Agent, simulator.Environment, error) {
 // the one per-slot transcription of the slot model) meeting for
 // meeting, under whatever dynamics the scenario has. Oracle-sized
 // fleets sit far below RunParallelEnv's joint band, so it runs the
-// pairwise decomposition, and the joint decompositions are called
-// directly. The sharded path runs at several worker counts because
-// each count induces a different window partition of the time axis —
-// partition invariance is exactly the property its exact-decomposition
-// argument rests on. When the scenario carries a contact
-// grid, the contact-sparse engine must additionally reproduce the
-// oracle restricted to in-range pairs, under both pair-state layouts.
+// pairwise decomposition, and the joint decomposition — the inverted
+// posting scan, on these dense fleets — is called directly. The
+// sharded path runs at several worker counts because each count
+// induces a different window partition of the time axis — partition
+// invariance is exactly the property its exact-decomposition argument
+// rests on. When the scenario carries a contact grid, the contact
+// engine must additionally reproduce the oracle restricted to in-range
+// pairs, under both pair-state layouts.
 func CheckFleetEngines(c FleetCase) error {
 	agents, env, err := c.Build()
 	if err != nil {
@@ -140,19 +141,6 @@ func CheckFleetEngines(c FleetCase) error {
 		}
 	}
 	sess.Close()
-	// The inverted-index scan never engages on oracle-sized fleets (they
-	// sit far below the crossover floor), so force it: every generated
-	// dynamics combination must agree with the oracle through the
-	// posting-list path too, at the same partition-inducing worker
-	// counts.
-	prevFloor := simulator.SetInvertedFloor(0)
-	defer simulator.SetInvertedFloor(prevFloor)
-	for _, workers := range []int{2, 5} {
-		if err := sameMeetings(want, ResultMeetings(eng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
-			return fmt.Errorf("inverted-index joint engine (workers=%d) vs oracle: %w", workers, err)
-		}
-	}
-	simulator.SetInvertedFloor(prevFloor)
 	if err := checkCancelledRerun(c, eng, env, want); err != nil {
 		return err
 	}
@@ -231,8 +219,8 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 		}
 		// Cancellation under both pair-state layouts: the CSR layout
 		// (floor=0) routes the sparse kernel, the triangular layout the
-		// occupancy/inverted kernels, and both must honor the
-		// cancelled-prefix + clean-re-run contract.
+		// inverted kernel, and both must honor the cancelled-prefix +
+		// clean-re-run contract.
 		if err := checkCancelledRerun(c, ceng, env, filtered); err != nil {
 			return fmt.Errorf("contact engine (floor=%d): %w", floor, err)
 		}

@@ -57,11 +57,13 @@ func FuzzBlockEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzEngineVsLegacy: the production engine paths (block joint,
-// per-slot joint, pairwise parallel) reproduce the brute-force legacy
-// oracle meeting for meeting on fuzzer-chosen scenarios with churn,
-// primary users, and jammers.
-func FuzzEngineVsLegacy(f *testing.F) {
+// FuzzEngineVsReference: the production engine paths (serial joint,
+// pairwise parallel, time-sharded posting scans, session and cancelled
+// re-runs, and the contact engine under both pair-state layouts)
+// reproduce the brute-force oracle ReferenceRun meeting for meeting on
+// fuzzer-chosen scenarios with churn, primary users, jammers, and
+// contact grids — the checks CheckFleetEngines makes.
+func FuzzEngineVsReference(f *testing.F) {
 	for i := uint64(0); i < 3; i++ {
 		f.Add(i, i*59)
 	}

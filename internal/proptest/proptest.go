@@ -18,8 +18,8 @@
 //     agent-permutation invariance must leave meeting structure
 //     unchanged; ChannelBlock ≡ Channel; Compile(s) ≡ s;
 //   - engine equivalence: the integer-indexed block engine, the
-//     pairwise parallel decomposition, and the sharded, inverted and
-//     contact-sparse joint scans must agree with an independent
+//     pairwise parallel decomposition, and the time-sharded inverted
+//     and contact-sparse joint scans must agree with an independent
 //     brute-force oracle engine under random scenarios with churn,
 //     primary users, and jammers;
 //   - paper bounds: every generated symmetric/asymmetric pair must
@@ -30,7 +30,7 @@
 //     Summarize and SummarizeContact definitions.
 //
 // Native fuzz targets (FuzzCompile, FuzzBlockEquivalence,
-// FuzzEngineVsLegacy, FuzzScenarioEnv) drive the same properties from
+// FuzzEngineVsReference, FuzzScenarioEnv) drive the same properties from
 // go's coverage-guided fuzzer with committed seed corpora, and
 // `rvverify -stress` drives them from the command line.
 package proptest

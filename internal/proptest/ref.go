@@ -13,10 +13,8 @@ import (
 // index, no pair pruning, no early exit — every slot, every pair, raw
 // Sched.Channel. O(agents² · horizon), so callers keep instances small.
 //
-// The legacy map-based engine retired by the fleet-core refactor lives
-// on test-side in internal/simulator; this oracle is deliberately even
-// simpler, so the property and fuzz layers check the production engine
-// against an implementation with no shared history.
+// It is the one oracle the engine-equivalence properties and fuzz
+// targets check every engine path against.
 func ReferenceRun(agents []simulator.Agent, horizon int, env simulator.Environment) map[[2]string]simulator.Meeting {
 	met := make(map[[2]string]simulator.Meeting)
 	for t := 0; t < horizon; t++ {

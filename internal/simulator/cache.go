@@ -63,31 +63,16 @@ func TableCache() *tablecache.Cache {
 // dense tables (schedule.DensePrefix) for schedules whose period is
 // too long to compile: 4 bytes per agent per slot adds up at network
 // scale, so fleets over the budget keep the regenerate-per-block
-// fallback (softened by the rolling block cache below).
+// fallback.
 var prefixBudget atomic.Int64
 
-// blockCacheBudget caps the per-engine rolling dense-block cache that
-// backs agents with no dense table at all (beacons, huge-period Random
-// past the prefix budget). Zero disables it.
-var blockCacheBudget atomic.Int64
-
-func init() {
-	prefixBudget.Store(64 << 20)
-	blockCacheBudget.Store(16 << 20)
-}
+func init() { prefixBudget.Store(64 << 20) }
 
 // SetPrefixBudget sets the horizon-prefix table budget in bytes,
 // returning the previous value. It exists for tests and benchmarks that
 // need to force the no-table fallback paths.
 func SetPrefixBudget(bytes int) (previous int) {
 	return int(prefixBudget.Swap(int64(bytes)))
-}
-
-// SetBlockCacheBudget sets the rolling block cache budget in bytes (0
-// disables), returning the previous value. Engines size their ring from
-// the budget at first use.
-func SetBlockCacheBudget(bytes int) (previous int) {
-	return int(blockCacheBudget.Swap(int64(bytes)))
 }
 
 // pinLocked records a cache pin for Close to release. Zero handles

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,10 +18,13 @@ type cancelKernel struct {
 	run     func(s *Session, horizon, workers int) *Result
 }
 
-// cancelKernels covers all four scan kernels. Each build picks a fleet
-// (and, where a small fleet would not reach its kernel, a routing floor
-// restored by the returned cleanup) that routes to its kernel, so the
-// tests pin the cancellation seam per kernel.
+// cancelKernels covers every kernel a public entry point reaches on a
+// small fleet: pairwise, inverted, and contact-sparse. Each build picks
+// a fleet (and, where a small fleet would not reach its kernel, a
+// pair-state floor restored by the returned cleanup) that routes to its
+// kernel, so the tests pin the cancellation seam per kernel. The wide
+// posting kernel needs a fleet past schedule.MaxPostingMembers to be
+// routed, so TestCancelWideKernel forces it directly.
 func cancelKernels() []cancelKernel {
 	parallel := func(s *Session, horizon, workers int) *Result {
 		return s.RunParallelEnv(horizon, workers, nil)
@@ -44,29 +48,16 @@ func cancelKernels() []cancelKernel {
 			run: parallel,
 		},
 		{
-			name:    "sharded",
-			workers: []int{2, 5},
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
-				eng, err := NewEngine(jointTestFleet(t, rng, 10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 10 agents sit far below the inverted floor, so the joint
-				// entry point routes to the occupancy scan (scanShard).
-				return eng, func() {}
-			},
-			run: joint,
-		},
-		{
 			name:    "inverted",
 			workers: []int{2, 5},
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+				// A dense fleet within the posting member cap: the joint
+				// entry point routes to the inverted posting scan.
 				eng, err := NewEngine(jointTestFleet(t, rng, 12))
 				if err != nil {
 					t.Fatal(err)
 				}
-				prev := SetInvertedFloor(0)
-				return eng, func() { SetInvertedFloor(prev) }
+				return eng, func() {}
 			},
 			run: joint,
 		},
@@ -76,7 +67,8 @@ func cancelKernels() []cancelKernel {
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
 				n := 24
 				// The pair-state layout is fixed at construction, so the
-				// floor drops first: CSR pair state routes to scanShardSparse.
+				// floor drops first: CSR pair state routes to the sparse
+				// kernel.
 				prev := SetSparseStateFloor(0)
 				fleet := jointTestFleet(t, rng, n)
 				eng, err := NewEngineContact(fleet, randomTopology(rng, n, 3, 3, 1.0))
@@ -261,8 +253,74 @@ func TestCancelAfterEarlyExit(t *testing.T) {
 	const horizon = 1024
 	env := &cancelRaceEnv{c: &Canceler{}, release: make(chan struct{})}
 	res := eng.newResult(horizon)
-	eng.runJointSharded(res, horizon, 2, 512, env, eng.meetablePairs(horizon), scanOccupancy, env.c)
+	eng.runJointSharded(res, horizon, 2, 512, env, eng.meetablePairs(horizon), scanInverted, env.c)
 	if m, ok := res.Meeting("a", "b"); ok {
 		t.Fatalf("cancelled run recorded %+v, but the first meeting is at slot 300", m)
+	}
+}
+
+// TestCancelWideKernel pins the cancellation contract on the wide
+// posting kernel, which no public entry point reaches below
+// schedule.MaxPostingMembers agents: like TestInvertedWordBoundaryFleets
+// it forces scanInvertedWide through runJointSharded on a small fleet.
+// A cancelled run must equal the uncancelled run cut at a window
+// boundary (the partial-prefix contract), and a re-run into the same
+// reset Result on the same engine, reusing the scratch the cancelled
+// run pooled, must reproduce the uncancelled run exactly.
+func TestCancelWideKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	eng, err := NewEngine(jointTestFleet(t, rng, 70)) // two posting words
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon, window = 4096, 512
+	meetable := eng.meetablePairs(horizon)
+	full := eng.RunEnv(horizon, nil).Meetings()
+	if len(full) == meetable {
+		// Some pairs must stay unmet, so no early exit ends a run before
+		// the canceler's poll budget runs out.
+		t.Fatalf("fixture meets all %d meetable pairs", meetable)
+	}
+	for _, workers := range []int{1, 2, 5} {
+		res := eng.newResult(horizon)
+		for _, polls := range []int64{1, 2, 3, 5, 9} {
+			canc := &Canceler{}
+			canc.CancelAfterPolls(polls)
+			res.reset(horizon)
+			eng.runJointSharded(res, horizon, workers, window, nil, meetable, scanInvertedWide, canc)
+			if !canc.Canceled() {
+				t.Fatalf("workers=%d polls=%d: canceler did not fire", workers, polls)
+			}
+			if !isWindowPrefix(res.Meetings(), full, window) {
+				t.Fatalf("workers=%d polls=%d: cancelled run's %d meetings are no window-aligned prefix of the full run's %d",
+					workers, polls, res.MetCount(), len(full))
+			}
+			if polls == 1 && res.MetCount() != 0 {
+				t.Fatalf("workers=%d: cancel before the first window recorded %d meetings", workers, res.MetCount())
+			}
+			res.reset(horizon)
+			eng.runJointSharded(res, horizon, workers, window, nil, meetable, scanInvertedWide, nil)
+			if got := res.Meetings(); !slices.Equal(got, full) {
+				t.Fatalf("workers=%d polls=%d: post-cancel re-run diverged:\n got %v\nwant %v", workers, polls, got, full)
+			}
+		}
+	}
+}
+
+// isWindowPrefix reports whether partial is exactly the meetings of
+// full (both in Meetings order) that fall before some multiple of
+// window.
+func isWindowPrefix(partial, full []Meeting, window int) bool {
+	cut := 0
+	for lim := 0; ; lim += window {
+		for cut < len(full) && full[cut].Slot < lim {
+			cut++
+		}
+		if slices.Equal(partial, full[:cut]) {
+			return true
+		}
+		if cut == len(full) {
+			return false
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 
 // Inverted-index meeting engine.
 //
-// Every earlier engine walks the pair axis: the pairwise decomposition
-// scans each pair over the horizon, and the joint occupancy scans walk
-// a per-channel agent list for every arrival, checking a per-pair hit
-// entry for each listed agent — O(candidate pairs) of random access
-// into arrays that grow quadratically with the fleet. This engine is
-// the transpose. For each slot inside a block-aligned window, agents
+// The pairwise decomposition walks the pair axis, scanning each pair
+// over the horizon, and the serial occupancy scan (runBlock) walks a
+// per-channel agent list for every arrival, checking a per-pair entry
+// for each listed agent — O(candidate pairs) of random access into
+// arrays that grow quadratically with the fleet. This engine is the
+// transpose. For each slot inside a block-aligned window, agents
 // are bucketed into per-dense-channel-id posting lists
 // (schedule.PostingIndex, a two-pass counting gather). Each agent sits
 // on exactly one channel per slot, so the groups partition the slot's
@@ -38,47 +38,23 @@ import (
 // the L1-resident gather arrays — no per-arrival stamp checks or
 // shared-words read-modify-writes survive from the pair-axis designs.
 //
-// The scan records into the same per-pair hit arrays the time-sharded
-// merge consumes, and feeds the same shared seen-bitset, so it slots
-// into runJointSharded as a drop-in alternative to scanShard — the
-// window-partition argument for byte-identical Results at any worker
-// count carries over unchanged. Environments apply as channel masks
-// before intersection: at most one Available call per (channel, slot),
-// made lazily when the channel's group first exposes a live candidate
-// pair, after which a blocked channel's whole group is skipped.
-
-// invertedFloor is the fleet size at which the joint scans switch to
-// the inverted-index path. Below it the occupancy lists are so short
-// that word bookkeeping costs more than it saves; above it the
-// per-pair random access the posting intersection eliminates dominates
-// the scan. It is atomic only so tests and calibration can repoint it;
-// both paths compute byte-identical Results.
-var invertedFloor atomic.Int64
-
-// Calibrated on the K=4, 128-channel "ours" scenario family (horizon
-// 8192, single worker): sharded wins at 128 agents (14.4ms vs 15.8ms),
-// the two tie at 192 (23.2ms vs 22.9ms), and inverted pulls ahead from
-// 224 up (29.0ms vs 25.4ms at 224, 1.4× at 256, 1.75× at 512). The
-// crossover moves with channel count and occupancy, but the penalty
-// for guessing one bucket wrong is a few percent either way, so a
-// single measured constant beats a per-run model.
-const defaultInvertedFloor = 192
-
-func init() { invertedFloor.Store(defaultInvertedFloor) }
-
-// SetInvertedFloor repoints the agent-count crossover above which the
-// joint scans use the inverted-index engine, returning the previous
-// floor. It exists for equivalence tests and calibration; the
-// crossover is purely a performance choice.
-func SetInvertedFloor(agents int) (previous int) {
-	return int(invertedFloor.Swap(int64(agents)))
-}
+// The scan records into the per-pair hit arrays the time-sharded merge
+// consumes, and feeds the shared seen-bitset, so the window-partition
+// argument for byte-identical Results at any worker count covers it.
+// It shares one driver, scanShardPosting, with the wide and
+// contact-sparse kernels: the block fill, the transpose, and the
+// per-slot gather are common, and only the per-group detection
+// differs. Environments apply as channel masks before intersection: at
+// most one Available call per (channel, slot), made lazily when the
+// channel's group first exposes a live candidate pair, after which a
+// blocked channel's whole group is skipped.
 
 // invertedWideBudget caps the per-worker met-template memory the wide
 // posting scan may spend: the triangular template is O(agents²/128)
 // words, which passes ~256 MB near 65k agents — past that the dense
 // pair state is the real wall (that is what contact topologies are
-// for) and the sharded occupancy scan is no worse.
+// for), and the serial scan, which keeps no per-worker pair state,
+// takes over.
 const invertedWideBudget = 1 << 28
 
 // wideMemberLimit caps the member universe the wide posting scan
@@ -95,31 +71,28 @@ func metTemplateBytes(n int) int64 {
 	return words * 8
 }
 
-// scanKindFor picks the sharded scan for a run: the cell-filtered
-// sparse scan whenever the pair state is contact-edge CSR, a posting
-// scan for dense fleets at or above the inverted floor (the wide
-// variant past the register-resident member cap, while the met
-// template fits invertedWideBudget), and the occupancy scan otherwise.
-// Horizons whose slot keys overflow the int32 stamps force the
-// occupancy path, whose serial fallback handles them.
+// scanKindFor picks the joint scan for a run: the cell-filtered sparse
+// scan whenever the pair state is contact-edge CSR, and otherwise a
+// posting scan over the triangular state — the narrow kernel up to
+// schedule.MaxPostingMembers agents, the wide one past it while the
+// met template fits invertedWideBudget. Two shapes fall back to the
+// serial scan: horizons whose slot keys overflow the int32 hit
+// encoding, and dense fleets past the wide scan's memory cap.
 func (e *Engine) scanKindFor(horizon int) scanKind {
 	if horizon >= math.MaxInt32 {
-		return scanOccupancy
+		return scanSerial
 	}
 	if e.ps.rowBase == nil {
 		return scanSparse
 	}
 	n := len(e.agents)
-	if int64(n) < invertedFloor.Load() {
-		return scanOccupancy
-	}
 	if n <= schedule.MaxPostingMembers {
 		return scanInverted
 	}
 	if n <= wideMemberLimit && metTemplateBytes(n) <= invertedWideBudget {
 		return scanInvertedWide
 	}
-	return scanOccupancy
+	return scanSerial
 }
 
 // metBase returns the triangular met-row offsets: row i occupies
@@ -191,50 +164,61 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 	return tmpl, full
 }
 
-// invertedScratch is one worker's private inverted-index state: the
-// posting gather, the per-agent met-rows mirroring its hit array with
-// their full-word masks, and the per-agent activity clamps for the
-// current block. Recycled through Engine.invPool.
-type invertedScratch struct {
+// postingScratch is one worker's private posting-scan state, shared
+// by every posting kernel: the posting gather, the per-agent activity
+// clamps for the current block, and the slot-major id transpose, plus
+// each kernel's own state — met rows for the inverted kernels, heap
+// posting bitsets for the wide one, and the candidate-edge gather for
+// the sparse one. Recycled through Engine.postPool.
+type postingScratch struct {
 	post *schedule.PostingIndex
-	// met holds triangular met-rows (see Engine.metBase): row i is the
-	// bitset of earlier agents i has already met within this worker's
-	// windows (or never can meet — see metSeed), the word-parallel
-	// mirror of hits[p].s != 0. rowFull[i] marks i's saturated words.
-	met     []uint64
-	rowFull []uint64
 	// from/to clamp each agent's activity to the current block:
 	// active at offset x iff from[i] ≤ x < to[i].
 	from, to []int32
 	// ids is the slot-major transpose of the block buffers:
 	// ids[off*n+i] is agent i's dense channel id at block offset off.
 	ids []int32
+	// met holds triangular met-rows (see Engine.metBase): row i is the
+	// bitset of earlier agents i has already met within this worker's
+	// windows (or never can meet — see metSeed), the word-parallel
+	// mirror of hits[p].s != 0. rowFull[i] marks i's saturated words.
+	// Nil until an inverted kernel runs.
+	met     []uint64
+	rowFull []uint64
 	// pwWide/segWide replace scanGroup's register-resident posting
-	// bitset for fleets past the member cap: ceil(n/64) posting words
-	// with a 64-words-per-bit nonzero summary (see scanGroupWide). Nil
-	// for fleets within the cap.
+	// bitset for the wide kernel: ceil(n/64) posting words with a
+	// 64-words-per-bit nonzero summary (see scanGroupWide). Nil until
+	// the wide kernel runs.
 	pwWide, segWide []uint64
+	// cand is scanGroupSparse's candidate-edge gather, reused across
+	// groups and windows.
+	cand []int32
 }
 
-// getInvertedScratch returns a scratch seeded for a fresh scan: met
-// rows copied from tmpl, full-word masks from full. The posting gather
-// is self-cleaning (every slot ends in ResetSlot), so pooled reuse
-// needs no posting reset; scanGroupWide likewise clears its posting
-// words before returning.
-func (e *Engine) getInvertedScratch(tmpl, full []uint64, wide bool) *invertedScratch {
-	sc, _ := e.invPool.Get().(*invertedScratch)
+// getPostingScratch returns a pooled scratch seeded for a fresh scan of
+// kind: the inverted kernels get met rows copied from tmpl and
+// full-word masks from full. The posting gather is self-cleaning
+// (every slot ends in ResetSlot) and scanGroupWide clears its posting
+// words before returning, so pooled reuse needs no other reset.
+func (e *Engine) getPostingScratch(kind scanKind, tmpl, full []uint64) *postingScratch {
+	sc, _ := e.postPool.Get().(*postingScratch)
 	n := len(e.agents)
 	if sc == nil {
-		sc = &invertedScratch{
-			post:    schedule.NewPostingIndexWide(e.chIdx.count, n),
-			met:     make([]uint64, len(tmpl)),
-			rowFull: make([]uint64, n),
-			from:    make([]int32, n),
-			to:      make([]int32, n),
-			ids:     make([]int32, n*blockLen),
+		sc = &postingScratch{
+			post: schedule.NewPostingIndexWide(e.chIdx.count, n),
+			from: make([]int32, n),
+			to:   make([]int32, n),
+			ids:  make([]int32, n*blockLen),
 		}
 	}
-	if wide && sc.pwWide == nil {
+	if kind == scanSparse {
+		return sc
+	}
+	if sc.met == nil {
+		sc.met = make([]uint64, len(tmpl))
+		sc.rowFull = make([]uint64, n)
+	}
+	if kind == scanInvertedWide && sc.pwWide == nil {
 		wpm := (n + 63) / 64
 		sc.pwWide = make([]uint64, wpm)
 		sc.segWide = make([]uint64, (wpm+63)/64)
@@ -307,56 +291,59 @@ type shardState struct {
 	// writers, so the scan may update it without atomics.
 	solo bool
 	// cancel is the run's cooperative stop seam, polled once per
-	// 256-slot block at the top of each kernel's block loop (never
+	// 256-slot block at the top of scanShardPosting's block loop (never
 	// inside the //go:noinline group kernels — see the miscompilation
 	// guards there). Nil on uncancellable runs.
 	cancel *Canceler
 }
 
-// scanShardInverted is scanShard's inverted-index counterpart: it runs
-// the posting-list scan over global slots [lo, hi), recording each
-// pair's first hit within this worker's windows into st.hits and
-// feeding the shared cancellation state. The hit array, seen-bitset,
-// and ordering contract are identical to scanShard's, so the sharded
-// merge consumes either scan's output interchangeably; the returned
-// bool reports whether [lo, hi) was scanned to completion (false when
-// st.cancel fired mid-window). wide selects scanGroupWide's heap
-// bitsets over scanGroup's register array — a routing input (not
-// derived from the fleet here) so tests can force the wide kernel on
-// small fleets.
-func (e *Engine) scanShardInverted(plan *runPlan, sc *jointScratch, isc *invertedScratch, st *shardState, lo, hi int, wide bool) bool {
+// scanShardPosting runs one posting kernel over global slots [lo, hi),
+// recording each pair's first hit within this worker's windows into
+// st.hits and feeding the shared completion and cancellation state.
+// Every kernel shares the block fill, the transpose, and the per-slot
+// counting gather; only the per-group detection differs by kind:
+// scanGroup's register-resident bitsets, scanGroupWide's heap bitsets
+// (a routing input, not derived from the fleet here, so tests can
+// force the wide kernel on small fleets), or scanGroupSparse's
+// cell-interval search over contact-edge pair state. The returned bool
+// reports whether [lo, hi) was scanned to completion (false when
+// st.cancel fired mid-window).
+func (e *Engine) scanShardPosting(plan *runPlan, sc *jointScratch, psc *postingScratch, st *shardState, lo, hi int, kind scanKind) bool {
 	n := len(e.agents)
-	rowBase := e.rowBase
-	mbase := e.metRowBase[:n] // built by metSeed before workers spawn
-	union := e.union
-	ids := isc.ids
+	ids := psc.ids
 	// Reslicing to exactly n lets the compiler drop the bounds checks on
-	// the per-agent loads in the inner loops.
-	from, to := isc.from[:n], isc.to[:n]
-	met, rowFull := isc.met, isc.rowFull[:n]
-	post := isc.post
-	hits := st.hits
-	env := st.env
-	seen := st.seen
-	meetable := st.meetable
-	solo := st.solo
-	// pw is the current group's posting bitset: it never leaves the
+	// the per-agent loads in the gather loops.
+	from, to := psc.from[:n], psc.to[:n]
+	post := psc.post
+	// pw is the narrow kernel's posting bitset: it never leaves the
 	// stack because groups are processed to completion one at a time,
 	// and scanGroup clears its own nonzero words before returning.
-	// Fleets past the member cap use the heap-resident pwWide instead.
 	var pw [schedule.MaxPostingMembers / 64]uint64
-	gcx := groupScanCtx{
-		rowBase: rowBase, mbase: mbase, union: union,
-		met: met, rowFull: rowFull,
-		hits: hits, env: env, seen: seen,
-		st: st, meetable: meetable, solo: solo,
+	var gcx groupScanCtx
+	var scx sparseGroupCtx
+	if kind == scanSparse {
+		scx = sparseGroupCtx{
+			topo: e.topo, union: e.union,
+			hits: st.hits, env: st.env, seen: st.seen,
+			st: st, meetable: st.meetable, solo: st.solo,
+			cand: psc.cand,
+		}
+	} else {
+		gcx = groupScanCtx{
+			rowBase: e.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
+			union: e.union, met: psc.met, rowFull: psc.rowFull[:n],
+			hits: st.hits, env: st.env, seen: st.seen,
+			st: st, meetable: st.meetable, solo: st.solo,
+		}
 	}
+	complete := true
 	for base := lo; base < hi; base += blockLen {
 		if st.cancel.poll() {
-			return false
+			complete = false
+			break
 		}
 		m := min(blockLen, hi-base)
-		e.fillBlockWindowClamped(plan, sc, isc.from, isc.to, base, m)
+		e.fillBlockWindowClamped(plan, sc, from, to, base, m)
 		transposeIDs(ids, sc.bufs, n, m)
 		for off := 0; off < m; off++ {
 			t := base + off
@@ -365,7 +352,7 @@ func (e *Engine) scanShardInverted(plan *runPlan, sc *jointScratch, isc *inverte
 			slotIDs := ids[off*n : off*n+n]
 			// Counting gather: group this slot's arrivals by channel.
 			// Visiting agents in ascending id twice keeps each group in
-			// ascending id order, which the detection below relies on.
+			// ascending id order, which every kernel's detection relies on.
 			for i := 0; i < n; i++ {
 				if off32 >= from[i] && off32 < to[i] {
 					post.Count(slotIDs[i])
@@ -387,21 +374,27 @@ func (e *Engine) scanShardInverted(plan *runPlan, sc *jointScratch, isc *inverte
 					if len(g) < 2 {
 						continue // a lone listener meets nobody
 					}
-					if wide {
-						scanGroupWide(&gcx, isc.pwWide, isc.segWide, g, t, tk, int(c))
-					} else {
+					switch kind {
+					case scanInverted:
 						scanGroup(&gcx, &pw, g, t, tk, int(c))
+					case scanInvertedWide:
+						scanGroupWide(&gcx, psc.pwWide, psc.segWide, g, t, tk, int(c))
+					default:
+						scanGroupSparse(&scx, g, t, tk, int(c))
 					}
 				}
 			}
 			post.ResetSlot()
 		}
 	}
-	return true
+	if kind == scanSparse {
+		psc.cand = scx.cand
+	}
+	return complete
 }
 
 // groupScanCtx carries the scan-invariant state one worker's
-// scanGroup calls share. It lives on scanShardInverted's stack, built
+// scanGroup calls share. It lives on scanShardPosting's stack, built
 // once per scan rather than once per group; met and rowFull alias the
 // worker's scratch, so scanGroup's updates are visible to later groups.
 type groupScanCtx struct {
@@ -426,7 +419,7 @@ type groupScanCtx struct {
 // environment is consulted lazily, at most once per (channel, slot):
 // only when the group first exposes a candidate pair not already met.
 //
-// Kept out of scanShardInverted — and out of its inliner's reach —
+// Kept out of scanShardPosting — and out of its inliner's reach —
 // deliberately: the combined function has repeatedly tripped optimizer
 // wrong-code bugs in this toolchain (wild writes and dropped counter
 // updates that vanish under -N or -race), and the split keeps each

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,35 +40,10 @@ func TestInvertedWordBoundaryFleets(t *testing.T) {
 	}
 }
 
-// TestInvertedCrossoverBoundary drives the public joint entry point
-// with the crossover floor placed below, at, above, and far above the
-// fleet size: routing through either scan must be invisible in the
-// Result.
-func TestInvertedCrossoverBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	fleet := jointTestFleet(t, rng, 24)
-	eng, err := NewEngine(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 2000
-	for _, env := range []Environment{nil, evenSlotsBlocked{}} {
-		want := renderMeetings(eng.RunEnv(horizon, env))
-		for _, floor := range []int{0, len(fleet), len(fleet) + 1, 1 << 30} {
-			prev := SetInvertedFloor(floor)
-			got := renderMeetings(eng.RunJointParallelEnv(horizon, 4, env))
-			SetInvertedFloor(prev)
-			if got != want {
-				t.Fatalf("env=%v floor=%d diverged:\n got %s\nwant %s", env, floor, got, want)
-			}
-		}
-	}
-}
-
-// TestInvertedScratchReuse forces the inverted path on one engine
-// across repeated runs and horizons: pooled posting indexes and met
-// bitsets must not leak state between runs (the lazy-clear stamps
-// restart from key 1 every run).
+// TestInvertedScratchReuse runs the inverted path on one engine across
+// repeated runs and horizons: pooled posting indexes and met bitsets
+// must not leak state between runs (the lazy-clear stamps restart from
+// key 1 every run).
 func TestInvertedScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	fleet := jointTestFleet(t, rng, 20)
@@ -75,8 +51,6 @@ func TestInvertedScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetInvertedFloor(0)
-	defer SetInvertedFloor(prev)
 	for run := 0; run < 4; run++ {
 		for _, h := range []int{1, blockLen - 1, blockLen + 1, 2500} {
 			for _, env := range []Environment{nil, channelBlocked(3)} {
@@ -89,26 +63,50 @@ func TestInvertedScratchReuse(t *testing.T) {
 	}
 }
 
-// TestScanKindGates pins the routing predicate itself: the floor
-// comparison is inclusive, and horizons whose slot keys overflow the
-// int32 stamps opt out.
+// TestScanKindGates pins the routing predicate itself: every dense
+// fleet within the posting member cap takes the inverted scan however
+// small, contact-edge pair state takes the sparse scan, and only
+// horizons whose slot keys overflow the int32 hit encoding and dense
+// fleets past the wide scan's memory cap fall back to the serial scan.
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	eng, err := NewEngine(jointTestFleet(t, rng, 8))
+	for _, agents := range []int{2, 8, 191} {
+		eng, err := NewEngine(jointTestFleet(t, rng, agents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := eng.scanKindFor(1000); k != scanInverted {
+			t.Fatalf("%d-agent dense fleet must route inverted, got %v", agents, k)
+		}
+		if k := eng.scanKindFor(math.MaxInt32); k != scanSerial {
+			t.Fatalf("int32-overflowing horizon must route serial, got %v", k)
+		}
+	}
+	prev := SetSparseStateFloor(0)
+	contact, err := NewEngineContact(jointTestFleet(t, rng, 12), randomTopology(rng, 12, 3, 3, 1.0))
+	SetSparseStateFloor(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetInvertedFloor(8)
-	defer SetInvertedFloor(prev)
-	if k := eng.scanKindFor(1000); k != scanInverted {
-		t.Fatalf("fleet at the floor must route inverted, got %v", k)
+	if k := contact.scanKindFor(1000); k != scanSparse {
+		t.Fatalf("CSR contact engine must route sparse, got %v", k)
 	}
-	SetInvertedFloor(9)
-	if k := eng.scanKindFor(1000); k != scanOccupancy {
-		t.Fatalf("fleet below the floor must not route inverted, got %v", k)
+	// Past the wide scan's memory cap the met template alone would
+	// exceed invertedWideBudget per worker.
+	n := 1
+	for metTemplateBytes(n) <= invertedWideBudget {
+		n *= 2
 	}
-	SetInvertedFloor(0)
-	if k := eng.scanKindFor(math.MaxInt32); k != scanOccupancy {
-		t.Fatalf("int32-overflowing horizon must not route inverted, got %v", k)
+	s := mustCyclic(t, []int{1})
+	huge := make([]Agent, n)
+	for i := range huge {
+		huge[i] = Agent{Name: fmt.Sprintf("h%06d", i), Sched: s}
+	}
+	eng, err := NewEngine(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := eng.scanKindFor(1000); k != scanSerial {
+		t.Fatalf("%d-agent dense fleet past the memory cap must route serial, got %v", n, k)
 	}
 }

@@ -13,10 +13,10 @@ import (
 // at which the pair co-hops an available channel. Minima decompose over
 // any partition of the time axis, and every input to a slot's outcome —
 // schedules, activity windows, Environment decisions — is a pure
-// function of the slot. So the joint occupancy scan parallelizes by
-// time: partition [0, horizon) into contiguous windows, scan each
-// window independently into a private per-pair first-hit array, and
-// take the per-pair minimum across windows. The decomposition is exact,
+// function of the slot. So the joint scan parallelizes by time:
+// partition [0, horizon) into contiguous windows, scan each window
+// independently into a private per-pair first-hit array, and take the
+// per-pair minimum across windows. The decomposition is exact,
 // which makes the Result byte-identical to Run at any worker count.
 //
 // Windows are dispatched in increasing time order, which preserves most
@@ -53,7 +53,7 @@ func jointWindow(horizon, workers int) int {
 }
 
 // RunJointParallel computes the same Result as Run by sharding the
-// joint occupancy scan over contiguous time windows executed by a
+// joint posting scan over contiguous time windows executed by a
 // bounded worker pool (workers ≤ 0 means GOMAXPROCS). Results are
 // byte-identical to Run at any worker count; see the package comment
 // above for why the decomposition is exact.
@@ -67,13 +67,14 @@ func (e *Engine) RunJointParallelEnv(horizon, workers int, env Environment) *Res
 	return e.runJointParallelEnvInto(e.newResult(horizon), horizon, workers, env, e.meetablePairs(horizon), nil)
 }
 
-// scanKind selects the sharded scan a run uses. All kinds honor the
-// same hit-array/seen-bitset contracts, so routing is invisible in the
-// Result; see scanKindFor for the gating.
+// scanKind selects the scan a joint run uses. The posting kinds honor
+// the same hit-array/seen-bitset contracts, and the serial fallback
+// computes the same Result, so routing is invisible in the Result; see
+// scanKindFor for the gating.
 type scanKind int
 
 const (
-	scanOccupancy    scanKind = iota // dense-id occupancy scan (scanShard)
+	scanSerial       scanKind = iota // serial occupancy scan (runBlock)
 	scanInverted                     // posting scan, register-resident group bitsets
 	scanInvertedWide                 // posting scan, 64×64-word sharded group bitsets
 	scanSparse                       // contact-topology cell-filtered posting scan
@@ -89,7 +90,7 @@ func (k scanKind) route() Route {
 	case scanSparse:
 		return RouteSparse
 	}
-	return RouteSharded
+	return RouteSerial
 }
 
 // runJointParallelEnvInto is the shared body, writing into the
@@ -101,6 +102,16 @@ func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env 
 		e.setRoute(RouteSerial)
 		return res
 	}
+	// Every fleet takes a posting scan (even single-worker: the win is
+	// algorithmic, not parallel — see inverted.go) except the two shapes
+	// scanKindFor sends to the serial scan, which is the same
+	// computation.
+	kind := e.scanKindFor(horizon)
+	e.setRoute(kind.route())
+	if kind == scanSerial {
+		e.runBlock(res, horizon, env, meetable, c)
+		return res
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -108,20 +119,6 @@ func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env 
 	if workers > (horizon+window-1)/window {
 		workers = (horizon + window - 1) / window
 	}
-	// Fleets at or above the inverted crossover take a posting-list
-	// scan (even single-worker: the win is algorithmic, not parallel —
-	// see inverted.go), and contact fleets with sparse pair state take
-	// the cell-filtered scan. Otherwise, degenerate shapes (one worker,
-	// one window, or a horizon whose slots overflow the int32 hit
-	// encoding) take the serial joint path, which is the same
-	// computation.
-	kind := e.scanKindFor(horizon)
-	if kind == scanOccupancy && (workers <= 1 || horizon >= math.MaxInt32) {
-		e.setRoute(RouteSerial)
-		e.runBlock(res, horizon, env, meetable, c)
-		return res
-	}
-	e.setRoute(kind.route())
 	e.runJointSharded(res, horizon, workers, window, env, meetable, kind, c)
 	return res
 }
@@ -142,9 +139,9 @@ func (e *Engine) getHits(pairs int) []hit32 {
 // runJointSharded is the sharded scan proper. window must be a positive
 // multiple of blockLen; it and the meetable count are parameters
 // (rather than derived here) so tests can pin partition invariance
-// directly. kind selects the scan a worker runs per window; every kind
-// honors the identical hit-array and seen-bitset contracts over the
-// engine's pair space, so the merge below is shared.
+// directly. kind selects the posting kernel a worker runs per window;
+// every kernel honors the identical hit-array and seen-bitset contracts
+// over the engine's pair space, so the merge below is shared.
 func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env Environment, meetableCount int, kind scanKind, c *Canceler) {
 	pairs := e.ps.slots
 	meetable := int64(meetableCount)
@@ -164,7 +161,7 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 	// arrays.
 	seen := e.getSeen(pairs)
 	var tmpl, full []uint64
-	if kind == scanInverted || kind == scanInvertedWide {
+	if kind != scanSparse {
 		tmpl, full = e.metSeed(horizon)
 	}
 	var seenCount atomic.Int64
@@ -195,16 +192,8 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 			st := &shardState{hits: hits, env: env, seen: seen,
 				seenCount: &seenCount, done: &done, meetable: meetable,
 				solo: workers == 1, cancel: c}
-			var isc *invertedScratch
-			var ssc *sparseScratch
-			switch kind {
-			case scanInverted, scanInvertedWide:
-				isc = e.getInvertedScratch(tmpl, full, kind == scanInvertedWide)
-				defer e.invPool.Put(isc)
-			case scanSparse:
-				ssc = e.getSparseScratch()
-				defer e.sparsePool.Put(ssc)
-			}
+			psc := e.getPostingScratch(kind, tmpl, full)
+			defer e.postPool.Put(psc)
 			for !done.Load() && !c.Canceled() {
 				wi := int(nextWin.Add(1)) - 1
 				if wi >= windows {
@@ -212,15 +201,7 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 				}
 				lo := wi * window
 				hi := min(lo+window, horizon)
-				var complete bool
-				switch kind {
-				case scanInverted, scanInvertedWide:
-					complete = e.scanShardInverted(plan, sc, isc, st, lo, hi, kind == scanInvertedWide)
-				case scanSparse:
-					complete = e.scanShardSparse(plan, sc, ssc, st, lo, hi)
-				default:
-					complete = e.scanShard(plan, sc, st, lo, hi)
-				}
+				complete := e.scanShardPosting(plan, sc, psc, st, lo, hi, kind)
 				if winOK != nil && complete {
 					winOK[wi].Store(true)
 				}
@@ -327,71 +308,4 @@ func setSeenBit(seen []uint64, p int) bool {
 			return true
 		}
 	}
-}
-
-// scanShard runs the dense-id occupancy scan over global slots
-// [lo, hi), recording each pair's first hit within this worker's
-// windows into st.hits and feeding the shared completion and
-// cancellation state. The returned bool reports whether [lo, hi) was
-// scanned to completion (false when st.cancel fired mid-window).
-func (e *Engine) scanShard(plan *runPlan, sc *jointScratch, st *shardState, lo, hi int) bool {
-	topo := e.topo
-	hits := st.hits
-	env := st.env
-	seen := st.seen
-	seenCount := st.seenCount
-	done := st.done
-	meetable := st.meetable
-	for base := lo; base < hi; base += blockLen {
-		if st.cancel.poll() {
-			return false
-		}
-		m := min(blockLen, hi-base)
-		e.fillBlockWindow(plan, sc, base, m)
-		for off := 0; off < m; off++ {
-			t := base + off
-			for i := range e.agents {
-				if !e.agents[i].active(t) {
-					continue
-				}
-				d := sc.bufs[i][off]
-				prev := sc.occ.add(int(d), t+1, i)
-				if len(prev) == 0 {
-					continue
-				}
-				avail := env == nil // env consulted once per candidate channel-slot, lazily
-				checked := env == nil
-				for _, o := range prev {
-					// Agents are visited in ascending id order within a slot,
-					// so o < i and the triangular index needs no swap.
-					p := e.rowBase[o] + i - o - 1
-					if topo != nil {
-						// Under a contact topology the pair space filters
-						// out-of-range pairs (and, when sparse, renumbers
-						// the slots), so the triangular shortcut is wrong.
-						if p = e.ps.index(o, i); p < 0 {
-							continue
-						}
-					}
-					if hits[p].s != 0 {
-						continue
-					}
-					if !checked {
-						avail = env.Available(e.union[d], t)
-						checked = true
-					}
-					if !avail {
-						break
-					}
-					hits[p] = hit32{s: int32(t) + 1, ch: d}
-					if setSeenBit(seen, p) {
-						if seenCount.Add(1) == meetable {
-							done.Store(true)
-						}
-					}
-				}
-			}
-		}
-	}
-	return true
 }

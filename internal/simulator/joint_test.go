@@ -49,7 +49,7 @@ func TestJointShardedPartitionInvariance(t *testing.T) {
 		want := renderMeetings(eng.RunEnv(horizon, env))
 		for _, workers := range []int{2, 3, 8} {
 			for _, window := range []int{blockLen, 3 * blockLen, 16 * blockLen} {
-				for _, kind := range []scanKind{scanOccupancy, scanInverted, scanInvertedWide} {
+				for _, kind := range []scanKind{scanInverted, scanInvertedWide} {
 					res := eng.newResult(horizon)
 					eng.runJointSharded(res, horizon, workers, window, env, eng.meetablePairs(horizon), kind, nil)
 					if got := renderMeetings(res); got != want {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rendezvous/internal/proptest"
+	"rendezvous/internal/schedule"
 	"rendezvous/internal/simulator"
 )
 
@@ -45,5 +46,69 @@ func TestEngineBlockEquivalence(t *testing.T) {
 					trial, name, got, want)
 			}
 		}
+	}
+}
+
+// benchFleet derives a deterministic fleet of the given size over the
+// MULTI population model (n=128, k=4, hub channel).
+func benchFleet(tb testing.TB, size int) []simulator.Agent {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(3))
+	const n = 128
+	agents := make([]simulator.Agent, size)
+	for i := range agents {
+		w := simulator.RandomOverlappingPair(rng, n, 4, 4)
+		s, err := schedule.NewAsync(n, w.A)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		agents[i] = simulator.Agent{Name: fmt.Sprintf("a%d", i), Sched: s, Wake: rng.Intn(2000)}
+	}
+	return agents
+}
+
+// TestIndexedEngineMatchesReference checks a 24-agent MULTI fleet over
+// a 30,000-slot horizon — long enough for the compiled hop tables and
+// several block windows — against proptest.ReferenceRun, through the
+// serial scan, the pairwise decomposition, and the time-sharded
+// inverted scan.
+func TestIndexedEngineMatchesReference(t *testing.T) {
+	agents := benchFleet(t, 24)
+	const horizon = 30_000
+	want := proptest.ReferenceRun(agents, horizon, nil)
+	eng, err := simulator.NewEngine(agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*simulator.Result{
+		"Run":                 eng.Run(horizon),
+		"RunParallel(2)":      eng.RunParallel(horizon, 2),
+		"RunJointParallel(2)": eng.RunJointParallel(horizon, 2),
+	} {
+		if got := proptest.ResultMeetings(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverged from the reference run: %d meetings, reference %d", name, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkEngineCore measures the serial joint engine on growing
+// MULTI fleets, the fleet-core refactor's benchmark.
+func BenchmarkEngineCore(b *testing.B) {
+	for _, size := range []int{16, 64, 128} {
+		agents := benchFleet(b, size)
+		horizon := 20_000
+		b.Run(fmt.Sprintf("fleet=%d/indexed", size), func(b *testing.B) {
+			eng, err := simulator.NewEngine(agents)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := eng.Run(horizon)
+				if res.MetCount() == 0 {
+					b.Fatal("no meetings")
+				}
+			}
+		})
 	}
 }

@@ -1,11 +1,5 @@
 package simulator
 
-import (
-	"math/bits"
-
-	"rendezvous/internal/schedule"
-)
-
 // Contact-sparse meeting scan.
 //
 // The inverted scan (inverted.go) made slot cost O(occupancy +
@@ -24,103 +18,11 @@ import (
 // exactly the in-range co-channel candidates — O(in-range occupancy),
 // not O(occupancy²) and not O(all-pairs). Pair state is indexed by
 // contact edge (pairSpace CSR), so hit arrays and the seen bitset are
-// O(contact edges). It records into the same per-worker hit arrays and
-// shared cancellation state as the other scans, so the time-sharded
-// merge and its byte-identical-at-any-worker-count argument carry over
-// unchanged.
-
-// sparseScratch is one worker's private sparse-scan state: the wide
-// posting gather, the per-agent activity clamps, and the slot-major id
-// transpose. Unlike invertedScratch there are no met rows — pair state
-// lives only in the O(edges) hit array. Recycled through
-// Engine.sparsePool.
-type sparseScratch struct {
-	post     *schedule.PostingIndex
-	from, to []int32
-	ids      []int32 // slot-major transpose, n*blockLen
-	cand     []int32 // per-group candidate-edge gather (see scanGroupSparse)
-}
-
-// getSparseScratch returns a pooled scratch; the posting gather is
-// self-cleaning, so reuse needs no reset.
-func (e *Engine) getSparseScratch() *sparseScratch {
-	sc, _ := e.sparsePool.Get().(*sparseScratch)
-	if sc == nil {
-		n := len(e.agents)
-		sc = &sparseScratch{
-			post: schedule.NewPostingIndexWide(e.chIdx.count, n),
-			from: make([]int32, n),
-			to:   make([]int32, n),
-			ids:  make([]int32, n*blockLen),
-		}
-	}
-	return sc
-}
-
-// scanShardSparse is scanShard's contact-sparse counterpart: it runs
-// the cell-filtered posting scan over global slots [lo, hi), recording
-// each contact edge's first hit within this worker's windows into
-// st.hits and feeding the shared cancellation state. The hit-array,
-// seen-bitset, and ordering contracts match the other scans; the
-// returned bool reports whether [lo, hi) was scanned to completion
-// (false when st.cancel fired mid-window).
-func (e *Engine) scanShardSparse(plan *runPlan, sc *jointScratch, ssc *sparseScratch, st *shardState, lo, hi int) bool {
-	n := len(e.agents)
-	from, to := ssc.from[:n], ssc.to[:n]
-	post := ssc.post
-	ids := ssc.ids
-	gcx := sparseGroupCtx{
-		topo: e.topo, union: e.union,
-		hits: st.hits, env: st.env, seen: st.seen,
-		st: st, meetable: st.meetable, solo: st.solo,
-		cand: ssc.cand,
-	}
-	complete := true
-	for base := lo; base < hi; base += blockLen {
-		if st.cancel.poll() {
-			complete = false
-			break
-		}
-		m := min(blockLen, hi-base)
-		e.fillBlockWindowClamped(plan, sc, from, to, base, m)
-		transposeIDs(ids, sc.bufs, n, m)
-		for off := 0; off < m; off++ {
-			t := base + off
-			tk := int32(t) + 1
-			off32 := int32(off)
-			slotIDs := ids[off*n : off*n+n]
-			// Counting gather, ascending id twice so groups come out in
-			// ascending id order — the interval search below relies on it.
-			for i := 0; i < n; i++ {
-				if off32 >= from[i] && off32 < to[i] {
-					post.Count(slotIDs[i])
-				}
-			}
-			post.Place()
-			for i := 0; i < n; i++ {
-				if off32 >= from[i] && off32 < to[i] {
-					post.Put(slotIDs[i], int32(i))
-				}
-			}
-			for wi, b := range post.ChannelMask() {
-				if b == 0 {
-					continue
-				}
-				for ; b != 0; b &= b - 1 {
-					c := int32(wi<<6 + bits.TrailingZeros64(b))
-					g := post.Group(c)
-					if len(g) < 2 {
-						continue // a lone listener meets nobody
-					}
-					scanGroupSparse(&gcx, g, t, tk, int(c))
-				}
-			}
-			post.ResetSlot()
-		}
-	}
-	ssc.cand = gcx.cand
-	return complete
-}
+// O(contact edges). It runs inside the shared posting driver
+// (scanShardPosting) and records into the same per-worker hit arrays
+// and shared cancellation state as the other posting kernels, so the
+// time-sharded merge and its byte-identical-at-any-worker-count
+// argument carry over unchanged.
 
 // sparseGroupCtx carries the scan-invariant state one worker's
 // scanGroupSparse calls share, mirroring groupScanCtx.

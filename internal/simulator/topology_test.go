@@ -187,7 +187,7 @@ func TestSparseRouteObserved(t *testing.T) {
 // 4,096-agent cliff: a fleet exactly at schedule.MaxPostingMembers must
 // route through the register-resident posting scan, and one agent past
 // it must route through the wide scan — not silently fall back to the
-// occupancy path — with the meeting set correct on both sides of the
+// serial scan — with the meeting set correct on both sides of the
 // boundary.
 func TestPostingCapBoundaryRouting(t *testing.T) {
 	if testing.Short() {

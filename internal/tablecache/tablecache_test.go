@@ -262,52 +262,3 @@ func mustCyclicErr(seq []int) *schedule.Cyclic {
 	}
 	return c
 }
-
-func TestBlockRing(t *testing.T) {
-	before := BlockStats()
-	r := NewBlockRing(2, 4)
-	blk := func(v int32) []int32 { return []int32{v, v + 1, v + 2, v + 3} }
-	dst := make([]int32, 4)
-
-	if r.Lookup(1, dst) {
-		t.Fatalf("lookup hit on empty ring")
-	}
-	r.Insert(1, blk(10))
-	r.Insert(2, blk(20))
-	if !r.Lookup(1, dst) || dst[0] != 10 || dst[3] != 13 {
-		t.Fatalf("block 1 = %v, want [10 11 12 13]", dst)
-	}
-	r.Insert(2, blk(99)) // duplicate key: ignored
-	if !r.Lookup(2, dst) || dst[0] != 20 {
-		t.Fatalf("duplicate insert replaced block 2: %v", dst)
-	}
-	r.Insert(3, blk(30)) // displaces key 1 (FIFO)
-	if r.Lookup(1, dst) {
-		t.Fatalf("oldest block survived FIFO eviction")
-	}
-	if !r.Lookup(3, dst) || dst[0] != 30 {
-		t.Fatalf("block 3 = %v, want [30 31 32 33]", dst)
-	}
-	r.Insert(4, blk(40)[:3]) // partial block: never cached
-	if r.Lookup(4, dst) {
-		t.Fatalf("partial block was cached")
-	}
-
-	after := BlockStats()
-	if hits := after.Hits - before.Hits; hits != 3 {
-		t.Fatalf("ring hits = %d, want 3", hits)
-	}
-	if ev := after.Evictions - before.Evictions; ev != 1 {
-		t.Fatalf("ring evictions = %d, want 1", ev)
-	}
-	if r.Blocks() != 2 {
-		t.Fatalf("Blocks() = %d, want 2", r.Blocks())
-	}
-}
-
-func TestBlockRingMinimumCapacity(t *testing.T) {
-	r := NewBlockRing(0, 4)
-	if r.Blocks() != 1 {
-		t.Fatalf("Blocks() = %d, want 1", r.Blocks())
-	}
-}

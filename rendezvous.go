@@ -176,9 +176,13 @@ func NewEngine(agents []Agent) (*Engine, error) {
 }
 
 // NewEngineContact is NewEngine under a contact topology: only pairs
-// within the contact radius can rendezvous, pair state scales with
-// contact edges instead of agents², and the joint scans route through
-// the cell-filtered sparse scan. A nil topology is plain NewEngine.
+// within the contact radius can rendezvous. Fleets below 4,096 agents
+// keep triangular pair state and their joint scans take the inverted
+// posting scan, which ran 13–16× faster than the cell-filtered scan on
+// 2,048- and 3,000-agent contact fleets; from 4,096 agents pair state
+// scales with contact edges instead of agents², and the joint scans
+// take the cell-filtered sparse scan. A nil topology is plain
+// NewEngine.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	return simulator.NewEngineContact(agents, topo)
 }
