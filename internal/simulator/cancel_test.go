@@ -19,7 +19,8 @@ type cancelKernel struct {
 }
 
 // cancelKernels covers every kernel a public entry point reaches on a
-// small fleet: pairwise, inverted, and contact-sparse. Each build picks
+// small fleet: pairwise, inverted (through the sharded driver at one
+// worker and at several), and contact-sparse. Each build picks
 // a fleet (and, where a small fleet would not reach its kernel, a
 // pair-state floor restored by the returned cleanup) that routes to its
 // kernel, so the tests pin the cancellation seam per kernel. The wide
@@ -46,6 +47,21 @@ func cancelKernels() []cancelKernel {
 				return eng, func() {}
 			},
 			run: parallel,
+		},
+		{
+			name:    "sharded",
+			workers: []int{1, 3},
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+				// Even a 10-agent fleet takes the time-sharded posting
+				// driver, also at one worker: workers=1 runs its solo
+				// seen-bitset path, which the multi-worker rows miss.
+				eng, err := NewEngine(jointTestFleet(t, rng, 10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng, func() {}
+			},
+			run: joint,
 		},
 		{
 			name:    "inverted",
