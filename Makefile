@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: build build-examples fmt-check vet lint test race bench bench-smoke ci \
 	fuzz-smoke cover golden golden-thrash bench-json bench-json-smoke \
-	bench-compare bench-compare-smoke serve-smoke serve-chaos prop-soak
+	bench-compare bench-compare-smoke serve-smoke serve-chaos prop-soak \
+	bench-check
 
 build:
 	$(GO) build ./...
@@ -36,6 +37,13 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# The job benchmark (bench/, run by bench/run.sh) is its own module, so
+# the root `go build ./...` never compiles it; vet and test it here so
+# an API change in the simulator, serve or scenario packages cannot
+# break it unnoticed. Offline, about 8 s.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -205,4 +213,4 @@ serve-chaos:
 # The exact sequence CI runs; keep local and CI invocations identical.
 # bench-compare-smoke subsumes bench-json-smoke (it regenerates the
 # trajectory point, then gates it against the committed baseline).
-ci: fmt-check vet build build-examples race cover golden-thrash serve-smoke serve-chaos bench-compare-smoke
+ci: fmt-check vet build build-examples bench-check race cover golden-thrash serve-smoke serve-chaos bench-compare-smoke

@@ -160,7 +160,9 @@ func BenchmarkSweepOffsetsWorkers(b *testing.B) {
 }
 
 // BenchmarkEngineRunParallelWorkers measures the pairwise multi-agent
-// engine against the serial joint engine (BenchmarkEngineMultiAgent).
+// engine at one worker and at four on the 8-agent fleet
+// BenchmarkEngineMultiAgent runs through Run (RunParallel at one
+// worker).
 func BenchmarkEngineRunParallelWorkers(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(2))
@@ -190,13 +192,16 @@ func BenchmarkEngineRunParallelWorkers(b *testing.B) {
 }
 
 // BenchmarkEngineJointWorkers measures the time-sharded joint engine
-// against the serial joint scan on a 256-agent fleet over a 40-channel
-// universe — the acceptance benchmark for the sharded path. Primary
-// users occupy 8 channels full-time, so some meetable pairs never meet
-// and every run scans the full horizon: stable per-iteration work with
-// no early-exit noise. Results are byte-identical at every worker
-// count; only wall-clock may differ. On a single-core host the curve
-// is flat; on ≥8 cores workers=8 should run ≥3× the serial scan.
+// at several worker counts against RunEnv on a 256-agent fleet over a
+// 40-channel universe — the acceptance benchmark for the sharded path.
+// The "serial" row is RunEnv, the router at one worker; its name
+// predates the removal of the serial occupancy scan and is kept so the
+// row lines up with the committed trajectory. Primary users occupy 8
+// channels full-time, so some meetable pairs never meet and every run
+// scans the full horizon: stable per-iteration work with no early-exit
+// noise. Results are byte-identical at every worker count; only
+// wall-clock may differ. On a single-core host the curve is flat; on
+// ≥8 cores workers=8 should run ≥3× the one-worker row.
 func BenchmarkEngineJointWorkers(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 40, Agents: 256, K: 4, Seed: 7, Horizon: 1 << 14,
@@ -451,8 +456,9 @@ func BenchmarkSymmetricPairScan(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRunModes measures the serial joint multi-agent engine
-// on an 8-agent fleet over 50k slots.
+// BenchmarkEngineRunModes measures Run (the router at one worker, which
+// takes the pairwise scan for a fleet this small) on an 8-agent fleet
+// over 50k slots.
 func BenchmarkEngineRunModes(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(2))

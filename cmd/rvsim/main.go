@@ -16,9 +16,10 @@
 // crseq-rand, jumpstay, random, sweep, beacon-fresh, beacon-walk
 // (scenario mode supports the first six).
 //
-// -parallel bounds the worker pool of the pairwise simulation engine
-// (0 = one per CPU, 1 = the serial joint engine); the reported meetings
-// are identical at every setting.
+// -parallel bounds the simulation engine's worker pool (0 = one per
+// CPU); the engine routes each run to its pairwise or time-sharded
+// joint decomposition, and the reported meetings are identical at every
+// setting.
 package main
 
 import (
@@ -103,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	alg := fs.String("alg", "ours", "schedule algorithm")
 	horizon := fs.Int("horizon", 1_000_000, "simulation slots")
 	seed := fs.Uint64("seed", 1, "seed for randomized algorithms / beacon / scenario")
-	parallel := fs.Int("parallel", 0, "pairwise engine workers (0 = one per CPU, 1 = serial joint engine)")
+	parallel := fs.Int("parallel", 0, "simulation engine workers (0 = one per CPU)")
 	scenarioName := fs.String("scenario", "", "run a generated fleet scenario: calm, churn, pu, churn-pu, jammer, sparse")
 	fleetSize := fs.Int("agents", 64, "fleet size in scenario mode")
 	churn := fs.Float64("churn", -1, "scenario mode: override leave fraction, in [0,1]")
@@ -171,12 +172,7 @@ func run(args []string, out io.Writer) error {
 	// tables the engine borrowed from the shared cache.
 	sess := eng.Session()
 	defer sess.Close()
-	var res *rendezvous.Result
-	if *parallel == 1 {
-		res = sess.Run(*horizon)
-	} else {
-		res = sess.RunParallel(*horizon, *parallel)
-	}
+	res := sess.RunParallel(*horizon, *parallel)
 
 	fmt.Fprintf(out, "universe n=%d  algorithm=%s  horizon=%d slots\n\n", *n, *alg, *horizon)
 	meetings := res.Meetings()

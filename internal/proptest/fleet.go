@@ -92,20 +92,22 @@ func (c FleetCase) Build() ([]simulator.Agent, simulator.Environment, error) {
 	return c.Sc.Build(build)
 }
 
-// CheckFleetEngines is the engine-equivalence oracle: the serial joint
-// engine, the pairwise parallel decomposition, and the time-sharded
-// joint engine must all reproduce the brute-force oracle (ReferenceRun,
-// the one per-slot transcription of the slot model) meeting for
-// meeting, under whatever dynamics the scenario has. Oracle-sized
-// fleets sit far below RunParallelEnv's joint band, so it runs the
-// pairwise decomposition, and the joint decomposition — the inverted
-// posting scan, on these dense fleets — is called directly. The
-// sharded path runs at several worker counts because each count
-// induces a different window partition of the time axis — partition
-// invariance is exactly the property its exact-decomposition argument
-// rests on. When the scenario carries a contact grid, the contact
-// engine must additionally reproduce the oracle restricted to in-range
-// pairs, under both pair-state layouts.
+// CheckFleetEngines is the engine-equivalence oracle: Run (the router
+// at one worker), the pairwise parallel decomposition, and the
+// time-sharded joint engine must all reproduce the brute-force oracle
+// (ReferenceRun, the one per-slot transcription of the slot model)
+// meeting for meeting, under whatever dynamics the scenario has.
+// Oracle-sized fleets sit far below RunParallelEnv's joint band, so Run
+// and RunParallelEnv run the pairwise decomposition, and the joint
+// decomposition — the inverted posting scan, on these dense fleets — is
+// called directly. The sharded path runs at several worker counts
+// because each count induces a different window partition of the time
+// axis — partition invariance is exactly the property its
+// exact-decomposition argument rests on — and at one worker, whose
+// solo path stops inside its window once every meetable pair has met.
+// When the scenario carries a contact grid, the contact engine must
+// additionally reproduce the oracle restricted to in-range pairs, under
+// both pair-state layouts.
 func CheckFleetEngines(c FleetCase) error {
 	agents, env, err := c.Build()
 	if err != nil {
@@ -117,12 +119,12 @@ func CheckFleetEngines(c FleetCase) error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	if err := sameMeetings(want, ResultMeetings(eng.RunEnv(c.Sc.Horizon, env))); err != nil {
-		return fmt.Errorf("block engine vs oracle: %w", err)
+		return fmt.Errorf("Run vs oracle: %w", err)
 	}
 	if err := sameMeetings(want, ResultMeetings(eng.RunParallelEnv(c.Sc.Horizon, 3, env))); err != nil {
 		return fmt.Errorf("pairwise parallel engine vs oracle: %w", err)
 	}
-	for _, workers := range []int{2, 5} {
+	for _, workers := range []int{1, 2, 5} {
 		if err := sameMeetings(want, ResultMeetings(eng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
 			return fmt.Errorf("time-sharded joint engine (workers=%d) vs oracle: %w", workers, err)
 		}
@@ -180,8 +182,8 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 // for gridded scenarios the contact engine must reproduce the
 // brute-force oracle filtered to in-range pairs — exactly those, no
 // others — under both pair-state layouts (dense triangular with topo
-// filter, and contact-edge CSR), serially and at the partition-inducing
-// worker counts.
+// filter, and contact-edge CSR), through Run and at the
+// partition-inducing worker counts.
 func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Environment, want map[[2]string]simulator.Meeting) error {
 	graph, err := c.Sc.ContactGraph()
 	if err != nil {
@@ -465,8 +467,8 @@ func CheckFleetSummarize(c FleetCase) error {
 	return nil
 }
 
-// runMeetings runs agents on a fresh engine (joint block path) and
-// returns the canonical meeting map.
+// runMeetings runs agents on a fresh engine (Run: the router at one
+// worker) and returns the canonical meeting map.
 func runMeetings(agents []simulator.Agent, horizon int, env simulator.Environment) (map[[2]string]simulator.Meeting, error) {
 	eng, err := simulator.NewEngine(agents)
 	if err != nil {

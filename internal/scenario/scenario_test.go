@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -117,38 +118,69 @@ func TestEnvironmentPure(t *testing.T) {
 
 // TestRunMatchesJointUnderDynamics is the scenario-level equivalence
 // regression: under churn + primary users + jammer, the joint engine
-// (RunEnv) and the pairwise decomposition (RunParallelEnv) must agree
-// meeting-for-meeting at every worker count.
+// (RunJointParallelEnv at one worker) and the routed runs (RunEnv and
+// RunParallelEnv), which take the pairwise decomposition at this fleet
+// size, must agree meeting-for-meeting at every worker count. At 64
+// channels the environment blocks none of the fleet's first meetings;
+// at 12 it moves some, so both kernels' channel masking is checked too.
 func TestRunMatchesJointUnderDynamics(t *testing.T) {
-	sc := testScenario()
-	build, err := BuilderFor("ours", sc.N, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents, env, err := sc.Build(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env == nil {
-		t.Fatal("expected a live environment")
-	}
-	eng, err := simulator.NewEngine(agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := eng.RunEnv(sc.Horizon, env)
-	for _, workers := range []int{1, 4} {
-		got := eng.RunParallelEnv(sc.Horizon, workers, env)
-		if got.MetCount() != want.MetCount() {
-			t.Fatalf("workers=%d: %d meetings, joint %d", workers, got.MetCount(), want.MetCount())
+	for _, n := range []int{64, 12} {
+		sc := testScenario()
+		sc.N = n
+		build, err := BuilderFor("ours", sc.N, sc.Seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, m := range want.Meetings() {
-			g, ok := got.Meeting(m.A, m.B)
-			if !ok || g != m {
-				t.Fatalf("workers=%d: meeting %v != %v (ok=%v)", workers, g, m, ok)
+		agents, env, err := sc.Build(build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env == nil {
+			t.Fatal("expected a live environment")
+		}
+		eng, err := simulator.NewEngine(agents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eng.RunJointParallelEnv(sc.Horizon, 1, env)
+		if r := eng.LastRoute(); r == simulator.RoutePairwise {
+			t.Fatalf("n=%d: joint oracle routed %v", n, r)
+		}
+		if n == 12 && meetingDiff(eng.RunJointParallelEnv(sc.Horizon, 1, nil), want) == "" {
+			t.Fatalf("n=%d: the environment moved no meeting", n)
+		}
+		runs := []struct {
+			name string
+			run  func() *simulator.Result
+		}{
+			{"RunEnv", func() *simulator.Result { return eng.RunEnv(sc.Horizon, env) }},
+			{"workers=1", func() *simulator.Result { return eng.RunParallelEnv(sc.Horizon, 1, env) }},
+			{"workers=4", func() *simulator.Result { return eng.RunParallelEnv(sc.Horizon, 4, env) }},
+		}
+		for _, tc := range runs {
+			got := tc.run()
+			if r := eng.LastRoute(); r != simulator.RoutePairwise {
+				t.Fatalf("n=%d %s routed %v, want pairwise (the oracle is the joint engine)", n, tc.name, r)
+			}
+			if d := meetingDiff(got, want); d != "" {
+				t.Fatalf("n=%d %s vs joint: %s", n, tc.name, d)
 			}
 		}
 	}
+}
+
+// meetingDiff describes the first difference between two results'
+// meeting sets, or returns "" when they are equal.
+func meetingDiff(got, want *simulator.Result) string {
+	if got.MetCount() != want.MetCount() {
+		return fmt.Sprintf("%d meetings, want %d", got.MetCount(), want.MetCount())
+	}
+	for _, m := range want.Meetings() {
+		if g, ok := got.Meeting(m.A, m.B); !ok || g != m {
+			return fmt.Sprintf("meeting %v, want %v (ok=%v)", g, m, ok)
+		}
+	}
+	return ""
 }
 
 // TestEnvironmentBlocksMeetings: a jammer camped on the only common

@@ -16,6 +16,9 @@ type cancelKernel struct {
 	workers []int
 	build   func(t *testing.T, rng *rand.Rand) (*Engine, func())
 	run     func(s *Session, horizon, workers int) *Result
+	// oracle computes the uncancelled run through the other
+	// decomposition, so no kernel is checked against itself.
+	oracle func(e *Engine, horizon int) *Result
 }
 
 // cancelKernels covers every kernel a public entry point reaches on a
@@ -33,6 +36,8 @@ func cancelKernels() []cancelKernel {
 	joint := func(s *Session, horizon, workers int) *Result {
 		return s.RunJointParallelEnv(horizon, workers, nil)
 	}
+	jointOracle := func(e *Engine, horizon int) *Result { return e.RunJointParallelEnv(horizon, 1, nil) }
+	pairwiseOracle := func(e *Engine, horizon int) *Result { return pairwiseRun(e, horizon, nil) }
 	return []cancelKernel{
 		{
 			name:    "pairwise",
@@ -46,7 +51,8 @@ func cancelKernels() []cancelKernel {
 				}
 				return eng, func() {}
 			},
-			run: parallel,
+			run:    parallel,
+			oracle: jointOracle,
 		},
 		{
 			name:    "sharded",
@@ -61,7 +67,8 @@ func cancelKernels() []cancelKernel {
 				}
 				return eng, func() {}
 			},
-			run: joint,
+			run:    joint,
+			oracle: pairwiseOracle,
 		},
 		{
 			name:    "inverted",
@@ -75,7 +82,8 @@ func cancelKernels() []cancelKernel {
 				}
 				return eng, func() {}
 			},
-			run: joint,
+			run:    joint,
+			oracle: pairwiseOracle,
 		},
 		{
 			name:    "sparse",
@@ -94,7 +102,8 @@ func cancelKernels() []cancelKernel {
 				}
 				return eng, func() { SetSparseStateFloor(prev) }
 			},
-			run: joint,
+			run:    joint,
+			oracle: pairwiseOracle,
 		},
 	}
 }
@@ -114,7 +123,7 @@ func TestCancelMidRun(t *testing.T) {
 			eng, restore := k.build(t, rng)
 			defer restore()
 			const horizon = 4096
-			fullRes := eng.RunEnv(horizon, nil)
+			fullRes := k.oracle(eng, horizon)
 			want := renderMeetings(fullRes)
 			fullByPair := map[[2]string]Meeting{}
 			for _, m := range fullRes.Meetings() {
@@ -167,37 +176,66 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCancelSerialRun covers the serial joint path (RunEnv under a
-// session), which polls at the same block cadence.
+// TestCancelSerialRun covers cancellation of Session.RunEnv, which takes
+// the router at one worker: on a small fleet it runs the pairwise scan,
+// on one inside the joint band the posting driver's solo path. Both
+// poll at the same block cadence; a cancelled run records only true
+// first meetings, and a Reset + re-run on the same session reproduces
+// the other decomposition's result.
 func TestCancelSerialRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	eng, err := NewEngine(jointTestFleet(t, rng, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 4096
-	want := renderMeetings(eng.RunEnv(horizon, nil))
-	sess := eng.Session()
-	canc := &Canceler{}
-	canc.CancelAfterPolls(3)
-	sess.SetCanceler(canc)
-	partial := sess.RunEnv(horizon, nil)
-	// The serial scan advances strictly in time order, so a cancelled
-	// run is an exact horizon prefix: every recorded meeting must appear
-	// verbatim in the full run.
-	full := map[[2]string]Meeting{}
-	for _, m := range eng.RunEnv(horizon, nil).Meetings() {
-		full[[2]string{m.A, m.B}] = m
-	}
-	for _, m := range partial.Meetings() {
-		if full[[2]string{m.A, m.B}] != m {
-			t.Fatalf("cancelled serial run recorded %+v not in full run", m)
-		}
-	}
-	sess.SetCanceler(nil)
-	sess.Reset()
-	if got := renderMeetings(sess.RunEnv(horizon, nil)); got != want {
-		t.Fatalf("post-cancel serial re-run diverged:\n got %s\nwant %s", got, want)
+	for _, tc := range []struct {
+		name   string
+		fleet  func(t *testing.T, rng *rand.Rand) []Agent
+		route  Route
+		oracle func(e *Engine, horizon int) *Result
+	}{
+		{
+			name:   "pairwise",
+			fleet:  func(t *testing.T, rng *rand.Rand) []Agent { return jointTestFleet(t, rng, 8) },
+			route:  RoutePairwise,
+			oracle: func(e *Engine, horizon int) *Result { return e.RunJointParallelEnv(horizon, 1, nil) },
+		},
+		{
+			name:   "joint",
+			fleet:  func(t *testing.T, rng *rand.Rand) []Agent { return routeFleet(t, rng, 100, 100) },
+			route:  RouteInverted,
+			oracle: func(e *Engine, horizon int) *Result { return pairwiseRun(e, horizon, nil) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngine(tc.fleet(t, rand.New(rand.NewSource(101))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const horizon = 4096
+			fullRes := tc.oracle(eng, horizon)
+			want := renderMeetings(fullRes)
+			full := map[[2]string]Meeting{}
+			for _, m := range fullRes.Meetings() {
+				full[[2]string{m.A, m.B}] = m
+			}
+			sess := eng.Session()
+			canc := &Canceler{}
+			canc.CancelAfterPolls(3)
+			sess.SetCanceler(canc)
+			partial := sess.RunEnv(horizon, nil)
+			if r := eng.LastRoute(); r != tc.route {
+				t.Fatalf("Session.RunEnv routed %v, want %v", r, tc.route)
+			}
+			if !canc.Canceled() {
+				t.Fatal("canceler did not fire")
+			}
+			for _, m := range partial.Meetings() {
+				if full[[2]string{m.A, m.B}] != m {
+					t.Fatalf("cancelled run recorded %+v not in the full run", m)
+				}
+			}
+			sess.SetCanceler(nil)
+			sess.Reset()
+			if got := renderMeetings(sess.RunEnv(horizon, nil)); got != want {
+				t.Fatalf("post-cancel re-run diverged:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
@@ -291,7 +329,7 @@ func TestCancelWideKernel(t *testing.T) {
 	}
 	const horizon, window = 4096, 512
 	meetable := eng.meetablePairs(horizon)
-	full := eng.RunEnv(horizon, nil).Meetings()
+	full := pairwiseRun(eng, horizon, nil).Meetings()
 	if len(full) == meetable {
 		// Some pairs must stay unmet, so no early exit ends a run before
 		// the canceler's poll budget runs out.

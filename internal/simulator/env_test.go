@@ -62,7 +62,8 @@ func TestChurnLeaveSuppressesMeetings(t *testing.T) {
 			t.Fatalf("%s: AllMet must ignore pairs with disjoint activity windows", label)
 		}
 	}
-	check(eng.Run(100), "joint")
+	check(eng.Run(100), "Run")
+	check(eng.RunJointParallel(100, 1), "joint")
 	check(eng.RunParallel(100, 4), "pairwise")
 }
 
@@ -97,7 +98,7 @@ func TestEnvironmentDefersMeetings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, res := range map[string]*Result{
-		"joint":    eng.RunEnv(100, evenSlotsBlocked{}),
+		"joint":    eng.RunJointParallelEnv(100, 1, evenSlotsBlocked{}),
 		"pairwise": eng.RunParallelEnv(100, 2, evenSlotsBlocked{}),
 	} {
 		m, ok := res.Meeting("a", "b")
@@ -105,8 +106,8 @@ func TestEnvironmentDefersMeetings(t *testing.T) {
 			t.Fatalf("%s: want first meeting at slot 1, got %+v ok=%v", label, m, ok)
 		}
 	}
-	if res := eng.RunEnv(100, channelBlocked(5)); res.MetCount() != 0 {
-		t.Fatalf("blocked channel still met: %d", res.MetCount())
+	if res := eng.RunJointParallelEnv(100, 1, channelBlocked(5)); res.MetCount() != 0 {
+		t.Fatalf("blocked channel still met (joint): %d", res.MetCount())
 	}
 	if res := eng.RunParallelEnv(100, 2, channelBlocked(5)); res.MetCount() != 0 {
 		t.Fatalf("blocked channel still met (pairwise): %d", res.MetCount())

@@ -11,17 +11,17 @@ import (
 // Inverted-index meeting engine.
 //
 // The pairwise decomposition walks the pair axis, scanning each pair
-// over the horizon, and the serial occupancy scan (runBlock) walks a
-// per-channel agent list for every arrival, checking a per-pair entry
-// for each listed agent — O(candidate pairs) of random access into
-// arrays that grow quadratically with the fleet. This engine is the
-// transpose. For each slot inside a block-aligned window, agents
-// are bucketed into per-dense-channel-id posting lists
-// (schedule.PostingIndex, a two-pass counting gather). Each agent sits
-// on exactly one channel per slot, so the groups partition the slot's
-// arrivals and can be processed independently: walking a group in
-// ascending id order, its members' 64-agent bitset words build up in
-// registers, and each member detects its new meetings word-parallel:
+// over the horizon, and an occupancy scan would walk a per-channel
+// agent list for every arrival, checking a per-pair entry for each
+// listed agent — O(candidate pairs) of random access into arrays that
+// grow quadratically with the fleet. This engine is the transpose. For
+// each slot inside a block-aligned window, agents are bucketed into
+// per-dense-channel-id posting lists (schedule.PostingIndex, a two-pass
+// counting gather). Each agent sits on exactly one channel per slot, so
+// the groups partition the slot's arrivals and can be processed
+// independently: walking a group in ascending id order, its members'
+// 64-agent bitset words build up in registers, and each member detects
+// its new meetings word-parallel:
 //
 //	cand = posting[w] &^ met[i][w]
 //
@@ -53,8 +53,8 @@ import (
 // posting scan may spend: the triangular template is O(agents²/128)
 // words, which passes ~256 MB near 65k agents — past that the dense
 // pair state is the real wall (that is what contact topologies are
-// for), and the serial scan, which keeps no per-worker pair state,
-// takes over.
+// for), and such fleets run the pairwise decomposition, which keeps no
+// per-worker pair state.
 const invertedWideBudget = 1 << 28
 
 // wideMemberLimit caps the member universe the wide posting scan
@@ -75,12 +75,12 @@ func metTemplateBytes(n int) int64 {
 // scan whenever the pair state is contact-edge CSR, and otherwise a
 // posting scan over the triangular state — the narrow kernel up to
 // schedule.MaxPostingMembers agents, the wide one past it while the
-// met template fits invertedWideBudget. Two shapes fall back to the
-// serial scan: horizons whose slot keys overflow the int32 hit
-// encoding, and dense fleets past the wide scan's memory cap.
+// met template fits invertedWideBudget. Three shapes get scanNone and
+// run pairwise: empty horizons, horizons whose slot keys overflow the
+// int32 hit encoding, and dense fleets past the wide scan's memory cap.
 func (e *Engine) scanKindFor(horizon int) scanKind {
-	if horizon >= math.MaxInt32 {
-		return scanSerial
+	if horizon <= 0 || horizon >= math.MaxInt32 {
+		return scanNone
 	}
 	if e.ps.rowBase == nil {
 		return scanSparse
@@ -92,7 +92,7 @@ func (e *Engine) scanKindFor(horizon int) scanKind {
 	if n <= wideMemberLimit && metTemplateBytes(n) <= invertedWideBudget {
 		return scanInvertedWide
 	}
-	return scanSerial
+	return scanNone
 }
 
 // metBase returns the triangular met-row offsets: row i occupies
@@ -165,12 +165,19 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 }
 
 // postingScratch is one worker's private posting-scan state, shared
-// by every posting kernel: the posting gather, the per-agent activity
-// clamps for the current block, and the slot-major id transpose, plus
-// each kernel's own state — met rows for the inverted kernels, heap
-// posting bitsets for the wide one, and the candidate-edge gather for
-// the sparse one. Recycled through Engine.postPool.
+// by every posting kernel: the per-agent dense-id block buffers, the
+// posting gather, the per-agent activity clamps for the current block,
+// and the slot-major id transpose, plus each kernel's own state — met
+// rows for the inverted kernels, heap posting bitsets for the wide one,
+// and the candidate-edge gather for the sparse one. Recycled through
+// Engine.postPool.
 type postingScratch struct {
+	// bufs are per-agent views into flat (n*blockLen): agent i's dense
+	// channel ids for the current block. raw is the FillBlockDense
+	// fallback scratch (blockLen) for schedules without a dense table.
+	flat []int32
+	bufs [][]int32
+	raw  []int
 	post *schedule.PostingIndex
 	// from/to clamp each agent's activity to the current block:
 	// active at offset x iff from[i] ≤ x < to[i].
@@ -197,18 +204,25 @@ type postingScratch struct {
 
 // getPostingScratch returns a pooled scratch seeded for a fresh scan of
 // kind: the inverted kernels get met rows copied from tmpl and
-// full-word masks from full. The posting gather is self-cleaning
-// (every slot ends in ResetSlot) and scanGroupWide clears its posting
-// words before returning, so pooled reuse needs no other reset.
+// full-word masks from full. The block buffers are refilled before
+// every read, the posting gather is self-cleaning (every slot ends in
+// ResetSlot) and scanGroupWide clears its posting words before
+// returning, so pooled reuse needs no other reset.
 func (e *Engine) getPostingScratch(kind scanKind, tmpl, full []uint64) *postingScratch {
 	sc, _ := e.postPool.Get().(*postingScratch)
 	n := len(e.agents)
 	if sc == nil {
 		sc = &postingScratch{
+			flat: make([]int32, n*blockLen),
+			bufs: make([][]int32, n),
+			raw:  make([]int, blockLen),
 			post: schedule.NewPostingIndexWide(e.chIdx.count, n),
 			from: make([]int32, n),
 			to:   make([]int32, n),
 			ids:  make([]int32, n*blockLen),
+		}
+		for i := range sc.bufs {
+			sc.bufs[i] = sc.flat[i*blockLen : (i+1)*blockLen]
 		}
 	}
 	if kind == scanSparse {
@@ -228,12 +242,16 @@ func (e *Engine) getPostingScratch(kind scanKind, tmpl, full []uint64) *postingS
 	return sc
 }
 
-// fillBlockWindowClamped is fillBlockWindow plus materialized activity
-// clamps: from/to receive each agent's active offset range within
-// [base, base+m) (empty range for agents inactive across the whole
-// block), so the scan tests activity with two dense int32 compares
-// instead of loading Agent structs per slot.
-func (e *Engine) fillBlockWindowClamped(p *runPlan, sc *jointScratch, from, to []int32, base, m int) {
+// fillBlockWindowClamped materializes every agent's dense-id channels
+// for global slots [base, base+m) into sc.bufs, clamped to its activity
+// window: a copy out of the agent's dense table when the plan has one,
+// a per-block evaluate + remap otherwise (beacons, huge-period Random
+// past the prefix budget). sc.from/sc.to receive each agent's active
+// offset range within the block (an empty range for agents inactive
+// across the whole block), so the scan tests activity with two dense
+// int32 compares instead of loading Agent structs per slot.
+func (e *Engine) fillBlockWindowClamped(p *runPlan, sc *postingScratch, base, m int) {
+	from, to := sc.from, sc.to
 	for i := range e.agents {
 		a := &e.agents[i]
 		if a.Wake >= base+m || (a.Leave > 0 && a.Leave <= base) {
@@ -246,7 +264,7 @@ func (e *Engine) fillBlockWindowClamped(p *runPlan, sc *jointScratch, from, to [
 			hi = a.Leave - base
 		}
 		from[i], to[i] = int32(lo), int32(hi)
-		e.fillAgentBlock(p, sc, i, lo, hi, base)
+		schedule.FillBlockDense(p.scheds[i], p.dense[i], sc.bufs[i][lo:hi], base+lo-a.Wake, e.id32, sc.raw)
 	}
 }
 
@@ -288,7 +306,9 @@ type shardState struct {
 	done      *atomic.Bool
 	meetable  int64
 	// solo marks a single-worker run: the seen bitset has no other
-	// writers, so the scan may update it without atomics.
+	// writers, so the scan may update it without atomics, and the
+	// worker's hits arrive in time order, so it stops at the next block
+	// once done fires.
 	solo bool
 	// cancel is the run's cooperative stop seam, polled once per
 	// 256-slot block at the top of scanShardPosting's block loop (never
@@ -307,8 +327,11 @@ type shardState struct {
 // force the wide kernel on small fleets), or scanGroupSparse's
 // cell-interval search over contact-edge pair state. The returned bool
 // reports whether [lo, hi) was scanned to completion (false when
-// st.cancel fired mid-window).
-func (e *Engine) scanShardPosting(plan *runPlan, sc *jointScratch, psc *postingScratch, st *shardState, lo, hi int, kind scanKind) bool {
+// st.cancel fired mid-window). A solo worker's early exit also ends
+// the window, and counts as complete: every meetable pair already holds
+// its true first meeting, so the rest of the window cannot change the
+// Result, and the cancellation merge must keep what it recorded.
+func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardState, lo, hi int, kind scanKind) bool {
 	n := len(e.agents)
 	ids := psc.ids
 	// Reslicing to exactly n lets the compiler drop the bounds checks on
@@ -338,13 +361,16 @@ func (e *Engine) scanShardPosting(plan *runPlan, sc *jointScratch, psc *postingS
 	}
 	complete := true
 	for base := lo; base < hi; base += blockLen {
+		if st.solo && st.done.Load() {
+			break // every meetable pair met: the window is done, not abandoned
+		}
 		if st.cancel.poll() {
 			complete = false
 			break
 		}
 		m := min(blockLen, hi-base)
-		e.fillBlockWindowClamped(plan, sc, from, to, base, m)
-		transposeIDs(ids, sc.bufs, n, m)
+		e.fillBlockWindowClamped(plan, psc, base, m)
+		transposeIDs(ids, psc.bufs, n, m)
 		for off := 0; off < m; off++ {
 			t := base + off
 			tk := int32(t) + 1

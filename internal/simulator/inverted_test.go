@@ -12,7 +12,7 @@ import (
 // partially filled, exactly full, and one agent spilling into a fresh
 // word. Each size runs both posting kernels (the register-resident
 // narrow scan and the heap-bitset wide scan) across worker counts and
-// window widths against the serial block engine.
+// window widths against the pairwise decomposition.
 func TestInvertedWordBoundaryFleets(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, agents := range []int{63, 64, 65, 127, 130} {
@@ -23,7 +23,7 @@ func TestInvertedWordBoundaryFleets(t *testing.T) {
 		}
 		const horizon = 1800
 		for _, env := range []Environment{nil, evenSlotsBlocked{}} {
-			want := renderMeetings(eng.RunEnv(horizon, env))
+			want := renderMeetings(pairwiseRun(eng, horizon, env))
 			for _, workers := range []int{1, 3} {
 				for _, window := range []int{blockLen, 4 * blockLen} {
 					for _, kind := range []scanKind{scanInverted, scanInvertedWide} {
@@ -41,9 +41,9 @@ func TestInvertedWordBoundaryFleets(t *testing.T) {
 }
 
 // TestInvertedScratchReuse runs the inverted path on one engine across
-// repeated runs and horizons: pooled posting indexes and met bitsets
-// must not leak state between runs (the lazy-clear stamps restart from
-// key 1 every run).
+// repeated runs and horizons against the pairwise decomposition: pooled
+// posting indexes, block buffers and met bitsets must not leak state
+// between runs.
 func TestInvertedScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	fleet := jointTestFleet(t, rng, 20)
@@ -54,7 +54,7 @@ func TestInvertedScratchReuse(t *testing.T) {
 	for run := 0; run < 4; run++ {
 		for _, h := range []int{1, blockLen - 1, blockLen + 1, 2500} {
 			for _, env := range []Environment{nil, channelBlocked(3)} {
-				want := renderMeetings(eng.RunEnv(h, env))
+				want := renderMeetings(pairwiseRun(eng, h, env))
 				if got := renderMeetings(eng.RunJointParallelEnv(h, 3, env)); got != want {
 					t.Fatalf("run %d horizon %d env=%v: got %s want %s", run, h, env, got, want)
 				}
@@ -65,9 +65,10 @@ func TestInvertedScratchReuse(t *testing.T) {
 
 // TestScanKindGates pins the routing predicate itself: every dense
 // fleet within the posting member cap takes the inverted scan however
-// small, contact-edge pair state takes the sparse scan, and only
-// horizons whose slot keys overflow the int32 hit encoding and dense
-// fleets past the wide scan's memory cap fall back to the serial scan.
+// small, contact-edge pair state takes the sparse scan, and only empty
+// horizons, horizons whose slot keys overflow the int32 hit encoding
+// and dense fleets past the wide scan's memory cap get scanNone (and
+// run pairwise).
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, agents := range []int{2, 8, 191} {
@@ -78,8 +79,11 @@ func TestScanKindGates(t *testing.T) {
 		if k := eng.scanKindFor(1000); k != scanInverted {
 			t.Fatalf("%d-agent dense fleet must route inverted, got %v", agents, k)
 		}
-		if k := eng.scanKindFor(math.MaxInt32); k != scanSerial {
-			t.Fatalf("int32-overflowing horizon must route serial, got %v", k)
+		if k := eng.scanKindFor(math.MaxInt32); k != scanNone {
+			t.Fatalf("int32-overflowing horizon must get scanNone, got %v", k)
+		}
+		if k := eng.scanKindFor(0); k != scanNone {
+			t.Fatalf("empty horizon must get scanNone, got %v", k)
 		}
 	}
 	prev := SetSparseStateFloor(0)
@@ -106,7 +110,7 @@ func TestScanKindGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := eng.scanKindFor(1000); k != scanSerial {
-		t.Fatalf("%d-agent dense fleet past the memory cap must route serial, got %v", n, k)
+	if k := eng.scanKindFor(1000); k != scanNone {
+		t.Fatalf("%d-agent dense fleet past the memory cap must get scanNone, got %v", n, k)
 	}
 }

@@ -16,21 +16,24 @@ import (
 // function of the slot. So the joint scan parallelizes by time:
 // partition [0, horizon) into contiguous windows, scan each window
 // independently into a private per-pair first-hit array, and take the
-// per-pair minimum across windows. The decomposition is exact,
-// which makes the Result byte-identical to Run at any worker count.
+// per-pair minimum across windows. The decomposition is exact, which
+// makes the Result byte-identical to the pairwise decomposition's at
+// any worker count.
 //
-// Windows are dispatched in increasing time order, which preserves most
-// of the serial engine's early-exit win: once every meetable pair has a
-// recorded hit, every not-yet-started window lies strictly later than
-// every window that produced those hits, so any meeting it could find
-// would be at a later slot than an existing hit for its pair — skipping
-// it cannot change any per-pair minimum. In-flight windows always run
-// to completion under early exit (one of them may still hold a pair's
-// true first meeting), so the early exit affects wall-clock only, never
-// the Result. External cancellation (Canceler) is the one exception:
-// it stops in-flight windows at their next block boundary too, trading
-// completeness for latency — the merged Result is then a partial subset
-// of the true first meetings, which is exactly the Canceler contract.
+// Windows are dispatched in increasing time order, which keeps an early
+// exit: once every meetable pair has a recorded hit, every
+// not-yet-started window lies strictly later than every window that
+// produced those hits, so any meeting it could find would be at a later
+// slot than an existing hit for its pair — skipping it cannot change
+// any per-pair minimum. With several workers, in-flight windows run to
+// completion under early exit (one of them may still hold a pair's true
+// first meeting), so the early exit affects wall-clock only, never the
+// Result. A lone worker sees its hits in time order, so it also stops
+// inside its window, at the next block. External cancellation
+// (Canceler) is the one exception: it stops in-flight windows at their
+// next block boundary too, trading completeness for latency — the
+// merged Result is then a partial subset of the true first meetings,
+// which is exactly the Canceler contract.
 
 // hit32 is one worker's first observed meeting for a pair: s is the
 // global slot + 1 (0 = no hit in this worker's windows) and ch the
@@ -52,11 +55,12 @@ func jointWindow(horizon, workers int) int {
 	return win
 }
 
-// RunJointParallel computes the same Result as Run by sharding the
-// joint posting scan over contiguous time windows executed by a
-// bounded worker pool (workers ≤ 0 means GOMAXPROCS). Results are
+// RunJointParallel runs the time-sharded joint decomposition whatever
+// the fleet size, over contiguous time windows executed by a bounded
+// worker pool (workers ≤ 0 means GOMAXPROCS). Results are
 // byte-identical to Run at any worker count; see the package comment
-// above for why the decomposition is exact.
+// above for why the decomposition is exact. Runs no posting kernel
+// takes (see scanKindFor) go to the pairwise decomposition instead.
 func (e *Engine) RunJointParallel(horizon, workers int) *Result {
 	return e.RunJointParallelEnv(horizon, workers, nil)
 }
@@ -67,14 +71,13 @@ func (e *Engine) RunJointParallelEnv(horizon, workers int, env Environment) *Res
 	return e.runJointParallelEnvInto(e.newResult(horizon), horizon, workers, env, e.meetablePairs(horizon), nil)
 }
 
-// scanKind selects the scan a joint run uses. The posting kinds honor
-// the same hit-array/seen-bitset contracts, and the serial fallback
-// computes the same Result, so routing is invisible in the Result; see
-// scanKindFor for the gating.
+// scanKind selects the posting kernel a joint run uses. Every kernel
+// honors the same hit-array/seen-bitset contracts, so routing is
+// invisible in the Result; see scanKindFor for the gating.
 type scanKind int
 
 const (
-	scanSerial       scanKind = iota // serial occupancy scan (runBlock)
+	scanNone         scanKind = iota // no posting kernel takes the run: it goes pairwise
 	scanInverted                     // posting scan, register-resident group bitsets
 	scanInvertedWide                 // posting scan, 64×64-word sharded group bitsets
 	scanSparse                       // contact-topology cell-filtered posting scan
@@ -90,7 +93,7 @@ func (k scanKind) route() Route {
 	case scanSparse:
 		return RouteSparse
 	}
-	return RouteSerial
+	return RoutePairwise
 }
 
 // runJointParallelEnvInto is the shared body, writing into the
@@ -98,42 +101,78 @@ func (k scanKind) route() Route {
 // count, so routing callers that already counted (RunParallelEnv's
 // routing rule) never scan the pair space twice.
 func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env Environment, meetable int, c *Canceler) *Result {
-	if horizon <= 0 {
-		e.setRoute(RouteSerial)
-		return res
-	}
 	// Every fleet takes a posting scan (even single-worker: the win is
-	// algorithmic, not parallel — see inverted.go) except the two shapes
-	// scanKindFor sends to the serial scan, which is the same
-	// computation.
+	// algorithmic, not parallel — see inverted.go) except the shapes
+	// scanKindFor rejects, which the pairwise decomposition computes
+	// exactly at any horizon.
 	kind := e.scanKindFor(horizon)
-	e.setRoute(kind.route())
-	if kind == scanSerial {
-		e.runBlock(res, horizon, env, meetable, c)
-		return res
+	if kind == scanNone {
+		return e.runPairwiseEnvInto(res, horizon, workers, env, c)
 	}
+	e.setRoute(kind.route())
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := jointWindow(horizon, workers)
-	if workers > (horizon+window-1)/window {
-		workers = (horizon + window - 1) / window
-	}
-	e.runJointSharded(res, horizon, workers, window, env, meetable, kind, c)
+	e.runJointSharded(res, horizon, workers, jointWindow(horizon, workers), env, meetable, kind, c)
 	return res
 }
 
-// getHits returns a zeroed per-pair hit array of length pairs from the
-// engine's pool.
-func (e *Engine) getHits(pairs int) []hit32 {
-	hp, _ := e.hitPool.Get().(*[]hit32)
-	if hp == nil || cap(*hp) < pairs {
-		h := make([]hit32, pairs)
-		return h
+// shardRun is one time-sharded run's state: the inputs every worker
+// reads, the shared completion and cancellation state, and each
+// worker's hit array and view of the run. Recycled with its arrays
+// through Engine.runPool, so a steady-state re-run allocates nothing.
+type shardRun struct {
+	plan                     *runPlan
+	kind                     scanKind
+	tmpl, full               []uint64 // metSeed's template, nil for the sparse kernel
+	horizon, window, windows int
+	// seen is the shared pair-has-a-hit-somewhere bitset driving
+	// ordered-window cancellation; seenCount trips done when the last
+	// meetable pair gets its first hit. Neither influences the Result —
+	// the merge recomputes exact minima from the per-worker arrays.
+	seen      []uint64
+	seenCount atomic.Int64
+	done      atomic.Bool
+	nextWin   atomic.Int64
+	// winOK tracks which windows were scanned to completion: a cancelled
+	// worker can abandon a window mid-way while a later window's hits
+	// already landed, and merging those later hits unfiltered could
+	// record a non-first meeting. The merge clamps to the
+	// completed-window frontier instead, making a cancelled run
+	// byte-identical to an uncancelled run over a block-aligned horizon
+	// prefix.
+	winOK []atomic.Bool
+	hits  [][]hit32    // hits[w]: worker w's first hit per pair slot
+	st    []shardState // st[w]: worker w's view of the run
+	// wg joins workers 1..n-1; it lives here rather than on the stack
+	// so the goroutine closures do not move it to the heap on every run.
+	wg sync.WaitGroup
+}
+
+// getShardRun returns a pooled run state for workers workers over
+// windows windows, with zeroed hit arrays, seen bitset and counters.
+func (e *Engine) getShardRun(workers, windows int) *shardRun {
+	r, _ := e.runPool.Get().(*shardRun)
+	if r == nil {
+		r = &shardRun{seen: make([]uint64, (e.ps.slots+63)/64)}
 	}
-	h := (*hp)[:pairs]
-	clear(h)
-	return h
+	clear(r.seen)
+	r.seenCount.Store(0)
+	r.done.Store(false)
+	r.nextWin.Store(0)
+	if cap(r.winOK) < windows {
+		r.winOK = make([]atomic.Bool, windows)
+	}
+	r.winOK = r.winOK[:windows]
+	clear(r.winOK)
+	for len(r.hits) < workers {
+		r.hits = append(r.hits, make([]hit32, e.ps.slots))
+		r.st = append(r.st, shardState{})
+	}
+	for _, h := range r.hits[:workers] {
+		clear(h)
+	}
+	return r
 }
 
 // runJointSharded is the sharded scan proper. window must be a positive
@@ -143,72 +182,33 @@ func (e *Engine) getHits(pairs int) []hit32 {
 // every kernel honors the identical hit-array and seen-bitset contracts
 // over the engine's pair space, so the merge below is shared.
 func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env Environment, meetableCount int, kind scanKind, c *Canceler) {
-	pairs := e.ps.slots
 	meetable := int64(meetableCount)
 	if meetable == 0 {
 		return
 	}
-	plan := e.planFor(horizon)
-	defer e.planPool.Put(plan)
 	windows := (horizon + window - 1) / window
-	if workers > windows {
-		workers = windows
-	}
-	// seen is the shared pair-has-a-hit-somewhere bitset driving
-	// ordered-window cancellation; seenCount trips done when the last
-	// meetable pair gets its first hit. Neither influences the Result —
-	// the merge below recomputes exact minima from the per-worker
-	// arrays.
-	seen := e.getSeen(pairs)
-	var tmpl, full []uint64
+	workers = min(workers, windows)
+	r := e.getShardRun(workers, windows)
+	r.plan, r.kind, r.horizon, r.window, r.windows = e.planFor(horizon), kind, horizon, window, windows
 	if kind != scanSparse {
-		tmpl, full = e.metSeed(horizon)
+		r.tmpl, r.full = e.metSeed(horizon)
 	}
-	var seenCount atomic.Int64
-	var done atomic.Bool
-	var nextWin atomic.Int64
-	// winOK tracks which windows were scanned to completion, but only on
-	// cancellable runs: a cancelled worker can abandon a window mid-way
-	// while a later window's hits already landed, and merging those later
-	// hits unfiltered could record a non-first meeting. The merge below
-	// clamps to the completed-window frontier instead, making a cancelled
-	// run byte-identical to an uncancelled run over a block-aligned
-	// horizon prefix. Uncancellable runs (c == nil, the common case) skip
-	// the tracking entirely.
-	var winOK []atomic.Bool
-	if c != nil {
-		winOK = make([]atomic.Bool, windows)
+	for w := range workers {
+		r.st[w] = shardState{hits: r.hits[w], env: env, seen: r.seen,
+			seenCount: &r.seenCount, done: &r.done, meetable: meetable,
+			solo: workers == 1, cancel: c}
 	}
-	perWorker := e.getWorkerSets(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := e.getJointScratch()
-			defer e.jointPool.Put(sc)
-			hits := e.getHits(pairs)
-			perWorker[w] = hits
-			st := &shardState{hits: hits, env: env, seen: seen,
-				seenCount: &seenCount, done: &done, meetable: meetable,
-				solo: workers == 1, cancel: c}
-			psc := e.getPostingScratch(kind, tmpl, full)
-			defer e.postPool.Put(psc)
-			for !done.Load() && !c.Canceled() {
-				wi := int(nextWin.Add(1)) - 1
-				if wi >= windows {
-					return
-				}
-				lo := wi * window
-				hi := min(lo+window, horizon)
-				complete := e.scanShardPosting(plan, sc, psc, st, lo, hi, kind)
-				if winOK != nil && complete {
-					winOK[wi].Store(true)
-				}
-			}
-		}(w)
+	// Worker 0 runs on the calling goroutine, so a solo run starts no
+	// goroutine at all.
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer r.wg.Done()
+			e.scanWindows(r, w)
+		}()
 	}
-	wg.Wait()
+	e.scanWindows(r, 0)
+	r.wg.Wait()
 	// Serial merge: the per-pair minimum slot across workers. Each
 	// worker processed its windows in increasing time order and kept
 	// only its first hit per pair, so the minimum over workers is the
@@ -223,19 +223,20 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 	limit := int32(math.MaxInt32)
 	if c.Canceled() {
 		frontier := windows
-		for wi := range winOK {
-			if !winOK[wi].Load() {
+		for wi := range r.winOK {
+			if !r.winOK[wi].Load() {
 				frontier = wi
 				break
 			}
 		}
-		if done.Load() && int64(frontier) >= nextWin.Load() {
+		if r.done.Load() && int64(frontier) >= r.nextWin.Load() {
 			frontier = windows
 		}
 		limit = int32(min(int64(frontier)*int64(window), int64(horizon))) + 1
 	}
+	perWorker := r.hits[:workers]
 	e.ps.forEach(func(p, i, j int) {
-		if seen[p>>6]&(1<<(p&63)) == 0 {
+		if r.seen[p>>6]&(1<<(p&63)) == 0 {
 			return
 		}
 		best := hit32{}
@@ -249,43 +250,31 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 		}
 		res.recordAt(p, int(best.s)-1, e.union[best.ch], max(e.agents[i].Wake, e.agents[j].Wake))
 	})
-	for w := range perWorker {
-		h := perWorker[w]
-		e.hitPool.Put(&h)
-	}
-	e.putWorkerSets(perWorker)
-	e.putSeen(seen)
+	e.planPool.Put(r.plan)
+	// Drop the run's references (plan, template, environment, canceler)
+	// before pooling; the arrays stay.
+	r.plan, r.tmpl, r.full = nil, nil, nil
+	clear(r.st)
+	e.runPool.Put(r)
 }
 
-// getSeen returns a zeroed pairs-bit bitset from the engine's pool.
-func (e *Engine) getSeen(pairs int) []uint64 {
-	words := (pairs + 63) / 64
-	sp, _ := e.seenPool.Get().(*[]uint64)
-	if sp == nil || cap(*sp) < words {
-		return make([]uint64, words)
+// scanWindows is worker w's loop: it claims windows in increasing time
+// order until none is left, every meetable pair has met, or the run is
+// cancelled.
+func (e *Engine) scanWindows(r *shardRun, w int) {
+	st := &r.st[w]
+	psc := e.getPostingScratch(r.kind, r.tmpl, r.full)
+	defer e.postPool.Put(psc)
+	for !r.done.Load() && !st.cancel.Canceled() {
+		wi := int(r.nextWin.Add(1)) - 1
+		if wi >= r.windows {
+			return
+		}
+		lo := wi * r.window
+		if e.scanShardPosting(r.plan, psc, st, lo, min(lo+r.window, r.horizon), r.kind) {
+			r.winOK[wi].Store(true)
+		}
 	}
-	s := (*sp)[:words]
-	clear(s)
-	return s
-}
-
-func (e *Engine) putSeen(s []uint64) { e.seenPool.Put(&s) }
-
-// getWorkerSets returns a length-workers slice of per-worker hit-array
-// slots (contents nil; workers fill them).
-func (e *Engine) getWorkerSets(workers int) [][]hit32 {
-	wp, _ := e.workerPool.Get().(*[][]hit32)
-	if wp == nil || cap(*wp) < workers {
-		return make([][]hit32, workers)
-	}
-	pw := (*wp)[:workers]
-	clear(pw)
-	return pw
-}
-
-func (e *Engine) putWorkerSets(pw [][]hit32) {
-	clear(pw) // the hit arrays went back to hitPool; do not retain them here
-	e.workerPool.Put(&pw)
 }
 
 // setSeenBit atomically sets pair p's bit in the shared seen bitset,

@@ -1,7 +1,9 @@
 package simulator
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rendezvous/internal/schedule"
@@ -29,10 +31,17 @@ func jointTestFleet(t *testing.T, rng *rand.Rand, agents int) []Agent {
 	return fleet
 }
 
+// pairwiseRun is the in-package oracle for the joint kernels: the
+// pairwise decomposition at one worker, which shares no scan code with
+// the posting driver.
+func pairwiseRun(e *Engine, horizon int, env Environment) *Result {
+	return e.runPairwiseEnvInto(e.newResult(horizon), horizon, 1, env, nil)
+}
+
 // TestJointShardedPartitionInvariance pins the sharded scan's defining
 // property directly: for any window width (any partition of the time
 // axis into contiguous shards) and any worker count, runJointSharded
-// reproduces the serial joint engine meeting for meeting.
+// reproduces the pairwise decomposition meeting for meeting.
 func TestJointShardedPartitionInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
@@ -46,7 +55,7 @@ func TestJointShardedPartitionInvariance(t *testing.T) {
 		if trial%2 == 1 {
 			env = evenSlotsBlocked{}
 		}
-		want := renderMeetings(eng.RunEnv(horizon, env))
+		want := renderMeetings(pairwiseRun(eng, horizon, env))
 		for _, workers := range []int{2, 3, 8} {
 			for _, window := range []int{blockLen, 3 * blockLen, 16 * blockLen} {
 				for _, kind := range []scanKind{scanInverted, scanInvertedWide} {
@@ -63,7 +72,7 @@ func TestJointShardedPartitionInvariance(t *testing.T) {
 }
 
 // TestRunJointParallelMatchesRun drives the public entry points across
-// worker counts and environments.
+// worker counts and environments against the pairwise decomposition.
 func TestRunJointParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	fleet := jointTestFleet(t, rng, 9)
@@ -73,21 +82,22 @@ func TestRunJointParallelMatchesRun(t *testing.T) {
 	}
 	const horizon = 3000
 	for _, env := range []Environment{nil, evenSlotsBlocked{}, channelBlocked(3)} {
-		want := renderMeetings(eng.RunEnv(horizon, env))
+		want := renderMeetings(pairwiseRun(eng, horizon, env))
 		for _, workers := range []int{0, 1, 2, 5, 16} {
 			if got := renderMeetings(eng.RunJointParallelEnv(horizon, workers, env)); got != want {
 				t.Fatalf("env=%v workers=%d: got %s want %s", env, workers, got, want)
 			}
 		}
 	}
-	if got := renderMeetings(eng.RunJointParallel(horizon, 3)); got != renderMeetings(eng.Run(horizon)) {
-		t.Fatalf("RunJointParallel diverged from Run: %s", got)
+	if got := renderMeetings(eng.RunJointParallel(horizon, 3)); got != renderMeetings(pairwiseRun(eng, horizon, nil)) {
+		t.Fatalf("RunJointParallel diverged from the pairwise decomposition: %s", got)
 	}
 }
 
-// TestRunJointParallelDegenerate covers the edges: zero/short horizons,
-// fleets with nothing meetable, and repeated runs on one engine (the
-// scratch pools must not leak state between runs).
+// TestRunJointParallelDegenerate covers the edges: zero/short horizons
+// (an empty horizon takes no posting kernel and routes pairwise), fleets
+// with nothing meetable, and repeated runs on one engine (the scratch
+// pools must not leak state between runs).
 func TestRunJointParallelDegenerate(t *testing.T) {
 	a := mustCyclic(t, []int{1, 2})
 	b := mustCyclic(t, []int{2, 1})
@@ -101,9 +111,12 @@ func TestRunJointParallelDegenerate(t *testing.T) {
 	if got := eng.RunJointParallel(0, 4); got.MetCount() != 0 {
 		t.Fatalf("zero horizon recorded meetings: %d", got.MetCount())
 	}
+	if r := eng.LastRoute(); r != RoutePairwise {
+		t.Fatalf("zero horizon routed %v, want pairwise", r)
+	}
 	for run := 0; run < 4; run++ {
 		for _, h := range []int{1, blockLen - 1, blockLen + 1, 2000} {
-			want := renderMeetings(eng.Run(h))
+			want := renderMeetings(pairwiseRun(eng, h, nil))
 			if got := renderMeetings(eng.RunJointParallel(h, 4)); got != want {
 				t.Fatalf("run %d horizon %d: got %s want %s", run, h, got, want)
 			}
@@ -122,10 +135,112 @@ func TestRunJointParallelDegenerate(t *testing.T) {
 	}
 }
 
+// cancelAtSlot is an always-available environment that fires c once the
+// scan consults a slot at or past at.
+type cancelAtSlot struct {
+	c  *Canceler
+	at int
+}
+
+func (e cancelAtSlot) Available(ch, t int) bool {
+	if t >= e.at {
+		e.c.Cancel()
+	}
+	return true
+}
+
+// TestSoloPostingStopsAtEarlyExit pins the posting driver's one-worker
+// early exit on a dense fleet whose every pair meets within a few
+// thousand slots of a 2^19-slot horizon. A lone worker's hits arrive in
+// time order, so once every meetable pair has met it must stop at the
+// next block instead of scanning the rest of its 131,072-slot window —
+// and that stop must count as a completed window, so a cancellation
+// landing right after it keeps every meeting.
+func TestSoloPostingStopsAtEarlyExit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const horizon = 1 << 19
+	fleet := make([]Agent, 16)
+	for i := range fleet {
+		// Channel 1 in every set: all 120 pairs are meetable, and the
+		// paper's schedule meets each within its rendezvous bound.
+		s, err := schedule.NewAsync(64, []int{1, 2 + rng.Intn(31), 33 + rng.Intn(31)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet[i] = Agent{Name: fmt.Sprintf("e%02d", i), Sched: s, Wake: rng.Intn(2000)}
+	}
+	eng, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pairwiseRun(eng, horizon, nil)
+	meetable := eng.meetablePairs(horizon)
+	window := jointWindow(horizon, 1)
+	last := eng.Tally(want).LastSlot
+	if want.MetCount() != meetable || last >= window/4 {
+		t.Fatalf("fixture: %d of %d meetable pairs met, the last at slot %d; want all, early in the %d-slot window",
+			want.MetCount(), meetable, last, window)
+	}
+	check := func(label string, env Environment, c *Canceler) {
+		t.Helper()
+		res := eng.newResult(horizon)
+		eng.runJointSharded(res, horizon, 1, window, env, meetable, scanInverted, c)
+		if got := renderMeetings(res); got != renderMeetings(want) {
+			t.Fatalf("%s: %d meetings diverged from the pairwise decomposition's %d", label, res.MetCount(), want.MetCount())
+		}
+	}
+	check("no canceler", nil, nil)
+	const budget = 1 << 40
+	canc := &Canceler{}
+	canc.CancelAfterPolls(budget)
+	check("unfired canceler", nil, canc)
+	if polls, limit := budget-canc.budget.Load(), int64(last/blockLen+2); polls > limit {
+		t.Fatalf("solo run polled %d blocks; the last meeting is at slot %d, so at most %d", polls, last, limit)
+	}
+	late := &Canceler{}
+	check("cancel after the early exit", cancelAtSlot{c: late, at: last}, late)
+	if !late.Canceled() {
+		t.Fatal("the scan never consulted the last meeting's slot")
+	}
+}
+
+// TestConcurrentRunsOnOneEngine runs one engine from several goroutines
+// at once — the joint engine at one worker and at three, and Run — so
+// concurrent runs draw their pooled run state and scratch side by side;
+// every result must still equal the pairwise decomposition's.
+func TestConcurrentRunsOnOneEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	eng, err := NewEngine(jointTestFleet(t, rng, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 3000
+	want := renderMeetings(pairwiseRun(eng, horizon, nil))
+	runs := []func() *Result{
+		func() *Result { return eng.RunJointParallel(horizon, 1) },
+		func() *Result { return eng.RunJointParallel(horizon, 3) },
+		func() *Result { return eng.Run(horizon) },
+	}
+	var wg sync.WaitGroup
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				if got := renderMeetings(runs[g%len(runs)]()); got != want {
+					t.Errorf("goroutine %d diverged from the pairwise decomposition", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRunParallelJointCrossover exercises RunParallelEnv's routing to
 // the joint engine: a fleet above the joint band's ceiling must still
-// reproduce the serial joint result exactly (routing is a performance
-// choice, never a semantic one).
+// reproduce the pairwise decomposition exactly (routing is a
+// performance choice, never a semantic one).
 func TestRunParallelJointCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const agents = 240 // ~28k pairs, well past jointPairCeiling even after disjoint-set pruning
@@ -145,10 +260,10 @@ func TestRunParallelJointCrossover(t *testing.T) {
 	if n := eng.meetablePairs(256); n <= jointPairCeiling {
 		t.Fatalf("fleet too small to route joint: %d pairs", n)
 	}
-	want := renderMeetings(eng.RunEnv(256, evenSlotsBlocked{}))
+	want := renderMeetings(pairwiseRun(eng, 256, evenSlotsBlocked{}))
 	for _, workers := range []int{1, 4} {
 		if got := renderMeetings(eng.RunParallelEnv(256, workers, evenSlotsBlocked{})); got != want {
-			t.Fatalf("workers=%d: joint route diverged from serial joint run", workers)
+			t.Fatalf("workers=%d: joint route diverged from the pairwise decomposition", workers)
 		}
 		if r := eng.LastRoute(); r == RoutePairwise {
 			t.Fatalf("workers=%d: routed %v, want a joint route", workers, r)

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -138,7 +139,12 @@ func TestRouteIsPure(t *testing.T) {
 			if m := eng.meetablePairs(horizon); tc.band && (m < jointPairFloor || m > jointPairCeiling) {
 				t.Fatalf("%d meetable pairs missed the band [%d, %d]", m, jointPairFloor, jointPairCeiling)
 			}
-			want := eng.RunEnv(horizon, nil).Meetings()
+			// Both decompositions must agree, so every routed run below is
+			// checked against a kernel other than its own.
+			want := pairwiseRun(eng, horizon, nil).Meetings()
+			if joint := eng.RunJointParallelEnv(horizon, 1, nil).Meetings(); !slices.Equal(joint, want) {
+				t.Fatal("the joint and pairwise decompositions disagree")
+			}
 			workers := tc.workers
 			if workers == nil {
 				workers = []int{2}
@@ -147,7 +153,7 @@ func TestRouteIsPure(t *testing.T) {
 				var routes []Route
 				for run := 0; run < 5; run++ {
 					if got := eng.RunParallelEnv(horizon, w, nil).Meetings(); !slices.Equal(got, want) {
-						t.Fatalf("workers=%d run %d diverged from the serial joint run", w, run)
+						t.Fatalf("workers=%d run %d diverged from the decompositions", w, run)
 					}
 					routes = append(routes, eng.LastRoute())
 				}
@@ -205,6 +211,39 @@ func TestJointChoiceBandEdges(t *testing.T) {
 	} {
 		if got := tc.eng.routesJoint(tc.meetable, horizon); got != tc.want {
 			t.Errorf("%s: routesJoint(%d) = %v, want %v", tc.name, tc.meetable, got, tc.want)
+		}
+	}
+}
+
+// TestPairwiseFallbackAtHugeHorizon pins the shapes no posting kernel
+// takes: a horizon past the int32 slot encoding routes every entry
+// point — Run, RunParallel and the forced joint engine — to the
+// pairwise decomposition, which is exact at any horizon and stops at
+// the pair's first meeting.
+func TestPairwiseFallbackAtHugeHorizon(t *testing.T) {
+	s := mustCyclic(t, []int{1, 2, 3})
+	eng, err := NewEngine([]Agent{
+		{Name: "a", Sched: s},
+		{Name: "b", Sched: mustCyclic(t, []int{3, 3, 4}), Wake: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.RunJointParallel(1024, 1).Meetings()
+	if len(want) != 1 {
+		t.Fatalf("fixture: %d meetings at horizon 1,024, want 1", len(want))
+	}
+	const huge = math.MaxInt32
+	for name, run := range map[string]func() *Result{
+		"RunEnv":                 func() *Result { return eng.RunEnv(huge, nil) },
+		"RunParallelEnv(3)":      func() *Result { return eng.RunParallelEnv(huge, 3, nil) },
+		"RunJointParallelEnv(2)": func() *Result { return eng.RunJointParallelEnv(huge, 2, nil) },
+	} {
+		if got := run().Meetings(); !slices.Equal(got, want) {
+			t.Fatalf("%s at horizon %d: %v, want %v", name, huge, got, want)
+		}
+		if r := eng.LastRoute(); r != RoutePairwise {
+			t.Fatalf("%s at horizon %d routed %v, want pairwise", name, huge, r)
 		}
 	}
 }

@@ -2,12 +2,11 @@ package simulator
 
 // Session re-runs one engine's fleet shape with a recycled Result, so a
 // steady-state re-run (same fleet, any horizon/environment) performs
-// ~zero allocations: the engine's pooled scratch — occupancy index,
-// block buffers, hit arrays, posting index, seen bitsets, pair state —
-// already survives across runs, and the session closes the last gap by
-// reusing the O(pairs) result arrays too. This is the reuse layer sweep
-// drivers and a long-running rvserve sit on: build the engine once,
-// then run many.
+// ~zero allocations: the engine's pooled scratch — block buffers, hit
+// arrays, posting index, seen bitsets, pair state — already survives
+// across runs, and the session closes the last gap by reusing the
+// O(pairs) result arrays too. This is the reuse layer sweep drivers and
+// a long-running rvserve sit on: build the engine once, then run many.
 //
 // A session is NOT safe for concurrent use — each run rewrites the one
 // held Result (individual runs still fan out over their own workers).
@@ -77,12 +76,14 @@ func (r *Result) reset(horizon int) {
 	r.metCount = 0
 }
 
-// Run is Engine.Run into the session's recycled result.
-func (s *Session) Run(horizon int) *Result { return s.RunEnv(horizon, nil) }
+// Run is Engine.Run into the session's recycled result: RunParallel at
+// one worker.
+func (s *Session) Run(horizon int) *Result { return s.RunParallelEnv(horizon, 1, nil) }
 
-// RunEnv is Engine.RunEnv into the session's recycled result.
+// RunEnv is Engine.RunEnv into the session's recycled result:
+// RunParallelEnv at one worker.
 func (s *Session) RunEnv(horizon int, env Environment) *Result {
-	return s.e.runEnvInto(s.result(horizon), horizon, env, s.canc)
+	return s.RunParallelEnv(horizon, 1, env)
 }
 
 // RunParallel is Engine.RunParallel into the session's recycled result.

@@ -24,7 +24,9 @@ func sessionFleet(t *testing.T, agents int) []Agent {
 // TestSessionSteadyStateAllocs pins the tentpole's amortization claim:
 // once an engine and session are warm, a steady-state re-run allocates
 // at most 1% of what a cold engine-per-run loop allocates — the result
-// arrays, pair state, scratch pools and hop tables all survive.
+// arrays, pair state, scratch pools and hop tables all survive. Both
+// one-worker decompositions are held to it: Run, which takes the
+// pairwise scan on this fleet, and the joint engine's solo path.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-runtime allocations; the plain build enforces this gate")
@@ -45,27 +47,31 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		sink += eng.RunEnv(horizon, nil).MetCount()
 		eng.Close()
 	})
-
-	SetTableCache(tablecache.New(tablecache.DefaultBudget))
-	eng, err := NewEngine(agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess := eng.Session()
-	sink += sess.Run(horizon).MetCount() // warm tables, pools, result
-	steady := testing.AllocsPerRun(20, func() {
-		sess.Reset()
-		sink += sess.Run(horizon).MetCount()
-	})
-
 	limit := firstRun / 100
 	if limit < 1 {
 		limit = 1
 	}
-	if steady > limit {
-		t.Fatalf("steady-state session run allocates %.0f objects/op, want <= %.0f (1%% of first-run %.0f)",
-			steady, limit, firstRun)
+
+	for name, run := range map[string]func(*Session) *Result{
+		"Run":   func(s *Session) *Result { return s.Run(horizon) },
+		"joint": func(s *Session) *Result { return s.RunJointParallelEnv(horizon, 1, nil) },
+	} {
+		SetTableCache(tablecache.New(tablecache.DefaultBudget))
+		eng, err := NewEngine(agents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := eng.Session()
+		sink += run(sess).MetCount() // warm tables, pools, result
+		steady := testing.AllocsPerRun(20, func() {
+			sess.Reset()
+			sink += run(sess).MetCount()
+		})
+		eng.Close()
+		if steady > limit {
+			t.Fatalf("%s: steady-state session run allocates %.0f objects/op, want <= %.0f (1%% of first-run %.0f)",
+				name, steady, limit, firstRun)
+		}
 	}
 	if sink == 0 {
 		t.Fatal("fleet never met — the runs measured nothing")
@@ -91,7 +97,9 @@ func TestSessionCacheBudgetIndependence(t *testing.T) {
 		defer eng.Close()
 		sess := eng.Session()
 		defer sess.Close()
-		return sess.Run(horizon).Meetings()
+		// The joint engine borrows every table layer: compiled, dense
+		// and horizon-prefix tables.
+		return sess.RunJointParallelEnv(horizon, 1, nil).Meetings()
 	}
 
 	want := run(tablecache.New(tablecache.DefaultBudget))
@@ -134,9 +142,9 @@ func prefixFleet(t *testing.T, agents, period int) []Agent {
 // reader must guard on the met bit. A session run at a large horizon,
 // then re-run at a small one, then grown again must agree exactly —
 // meetings, met counts, and per-pair misses — with fresh single-use
-// engines at each horizon. A reader that ever consulted a stale
-// slot/channel/ttr entry (recorded beyond the shrunken horizon) would
-// diverge here.
+// engines running the other decomposition at each horizon. A reader
+// that ever consulted a stale slot/channel/ttr entry (recorded beyond
+// the shrunken horizon) would diverge here.
 func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 	defer simRestoreCache(t)()
 	agents := sessionFleet(t, 24)
@@ -165,7 +173,7 @@ func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fresh.Close()
-		want := fresh.Run(horizon)
+		want := fresh.RunJointParallel(horizon, 1)
 		if got.MetCount() != want.MetCount() {
 			t.Fatalf("horizon %d: session met %d pairs, fresh engine %d", horizon, got.MetCount(), want.MetCount())
 		}
@@ -208,7 +216,8 @@ func TestEngineCloseThenRunRepins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Run(512).MetCount() == 0 {
+	// Pairwise runs build no tables, so the test forces the joint engine.
+	if eng.RunJointParallel(512, 1).MetCount() == 0 {
 		t.Fatal("fleet never met — nothing exercised")
 	}
 	if s := cache.Stats(); s.Pinned == 0 {
@@ -220,7 +229,7 @@ func TestEngineCloseThenRunRepins(t *testing.T) {
 	}
 
 	// Run after Close at a new horizon: borrows and pins anew.
-	eng.Run(768)
+	eng.RunJointParallel(768, 1)
 	if s := cache.Stats(); s.Pinned == 0 {
 		t.Fatalf("run after Close did not re-track its pins: %+v", s)
 	}
@@ -250,7 +259,7 @@ func TestPrefixPinsReleasedOnHorizonChange(t *testing.T) {
 
 	var after []int64
 	for _, horizon := range []int{256, 512, 768, 1024, 1280, 1536} {
-		sess.Run(horizon)
+		sess.RunJointParallelEnv(horizon, 1, nil) // pairwise runs build no tables
 		after = append(after, cache.Stats().Refs)
 	}
 	// Every horizon pins exactly one prefix table per agent; discarding

@@ -3,6 +3,7 @@ package simulator
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rendezvous/internal/baselines"
@@ -284,8 +285,9 @@ func intersectionSize(a, b []int) int {
 	return count
 }
 
-// TestRunParallelMatchesRun: the pairwise decomposition must reproduce
-// the joint simulation exactly, at every worker count.
+// TestRunParallelMatchesRun: the pairwise decomposition, which Run and
+// RunParallel take for a fleet this small, must reproduce the joint
+// simulation exactly, at every worker count.
 func TestRunParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var agents []Agent
@@ -303,7 +305,10 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 20_000
-	want := eng.Run(horizon)
+	want := eng.RunJointParallel(horizon, 1)
+	if got := eng.Run(horizon).Meetings(); !reflect.DeepEqual(got, want.Meetings()) {
+		t.Fatalf("Run: %v, want %v", got, want.Meetings())
+	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		got := eng.RunParallel(horizon, workers)
 		if len(got.Meetings()) != len(want.Meetings()) {
@@ -345,7 +350,7 @@ func TestRunParallelDynamicSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 2000
-	want := eng.Run(horizon)
+	want := eng.RunJointParallel(horizon, 1)
 	if len(want.Meetings()) != 1 {
 		t.Fatalf("joint engine should record the phase-0 meeting, got %d", len(want.Meetings()))
 	}

@@ -203,8 +203,6 @@ const (
 	RouteNone Route = iota
 	// RoutePairwise: independent per-pair scans over the horizon.
 	RoutePairwise
-	// RouteSerial: the serial joint occupancy scan.
-	RouteSerial
 	// RouteInverted: the posting-list scan with register-resident group
 	// bitsets (fleets within schedule.MaxPostingMembers).
 	RouteInverted
@@ -222,8 +220,6 @@ func (r Route) String() string {
 		return "none"
 	case RoutePairwise:
 		return "pairwise"
-	case RouteSerial:
-		return "serial"
 	case RouteInverted:
 		return "inverted"
 	case RouteInvertedWide:

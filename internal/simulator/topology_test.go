@@ -95,8 +95,8 @@ func TestEngineEdges(t *testing.T) {
 }
 
 // TestContactEngineMatchesFilteredDense is the contact engine's
-// defining equivalence: against the classic all-pairs engine on the
-// same fleet, a contact engine reports exactly the dense meetings of
+// defining equivalence: against the all-pairs pairwise decomposition on
+// the same fleet, a contact engine reports exactly the dense meetings of
 // in-range pairs and nothing for out-of-range pairs — under both pair
 // state layouts (triangular and contact-edge CSR), at several worker
 // counts, with and without a hostile environment.
@@ -115,7 +115,7 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 		if trial%2 == 1 {
 			env = evenSlotsBlocked{}
 		}
-		denseRes := dense.RunEnv(horizon, env)
+		denseRes := pairwiseRun(dense, horizon, env)
 		var first string
 		for _, floor := range []int{0, 1 << 30} { // CSR and triangular pair state
 			prev := SetSparseStateFloor(floor)
@@ -159,7 +159,8 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 
 // TestSparseRouteObserved pins the routing observability: a contact
 // engine with CSR pair state reports RouteSparse from the joint entry
-// point, and the serial joint path reports RouteSerial.
+// point, and RunEnv reports the router's choice — pairwise, for a fleet
+// this far below the joint band.
 func TestSparseRouteObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	fleet := jointTestFleet(t, rng, 24)
@@ -178,17 +179,17 @@ func TestSparseRouteObserved(t *testing.T) {
 		t.Fatalf("joint run on CSR contact engine routed %v, want sparse", r)
 	}
 	eng.RunEnv(800, nil)
-	if r := eng.LastRoute(); r != RouteSerial {
-		t.Fatalf("serial run routed %v, want serial", r)
+	if r := eng.LastRoute(); r != RoutePairwise {
+		t.Fatalf("RunEnv on a 24-agent contact engine routed %v, want pairwise", r)
 	}
 }
 
 // TestPostingCapBoundaryRouting is the regression test for the silent
 // 4,096-agent cliff: a fleet exactly at schedule.MaxPostingMembers must
 // route through the register-resident posting scan, and one agent past
-// it must route through the wide scan — not silently fall back to the
-// serial scan — with the meeting set correct on both sides of the
-// boundary.
+// it must route through the wide scan — not silently fall back to
+// scanNone and the pairwise decomposition — with the meeting set
+// correct on both sides of the boundary.
 func TestPostingCapBoundaryRouting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 4k-agent engines")

@@ -81,12 +81,13 @@ type Meeting = simulator.Meeting
 // Result holds the outcome of a simulation run.
 type Result = simulator.Result
 
-// Engine is the slot-synchronous multi-agent simulator. Run performs
-// the serial joint simulation; RunParallel produces the identical
-// Result on a worker pool via an exact decomposition — pairwise scans
-// for small fleets, a time-sharded joint scan (RunJointParallel) once
-// the meetable-pair count is large. RunEnv and RunParallelEnv are the
-// same runs under an Environment.
+// Engine is the slot-synchronous multi-agent simulator. RunParallel
+// computes every pair's first meeting on a worker pool via an exact
+// decomposition — pairwise scans for small fleets, a time-sharded joint
+// scan (RunJointParallel) once the meetable-pair count is large — and
+// Run is RunParallel at one worker; the Result is identical at any
+// worker count. RunEnv and RunParallelEnv are the same runs under an
+// Environment.
 type Engine = simulator.Engine
 
 // Environment models external spectrum dynamics (primary users, jammer
