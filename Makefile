@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build build-examples fmt-check vet lint test race bench bench-smoke ci \
 	fuzz-smoke cover golden golden-thrash bench-json bench-json-smoke \
 	bench-compare bench-compare-smoke serve-smoke serve-chaos prop-soak \
-	bench-check
+	bench-check network-smoke
 
 build:
 	$(GO) build ./...
@@ -209,6 +209,18 @@ serve-chaos:
 		-run 'TestChaos|TestCancel|TestShed|TestQuota|TestJobDeadline|TestJobTTLEviction' \
 		./internal/serve ./internal/simulator
 	$(GO) test -race -count=1 -run 'TestServeChaosDrain' ./cmd/rvserve
+
+# Network-scale smoke: the 1M-agent contact fleet (`rvsim -scenario
+# sparse`: derivation, contact graph, engine build, the pairwise scan
+# over 167k eligible in-range pairs, summary) end to end, its report
+# byte-compared with the committed expected file. About 15 s and under
+# 1 GiB on a 2-vCPU host; the nightly workflow runs it, `make ci` does
+# not.
+network-smoke:
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 > $$out \
+		&& cmp $$out cmd/rvsim/testdata/network-1m.txt; \
+	status=$$?; rm -f $$out; exit $$status
 
 # The exact sequence CI runs; keep local and CI invocations identical.
 # bench-compare-smoke subsumes bench-json-smoke (it regenerates the

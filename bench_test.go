@@ -269,15 +269,16 @@ func BenchmarkEngineInverted(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSparse is the acceptance benchmark for the contact-
-// sparse engine: a 4,096-agent NETWORK-SPARSE-shaped fleet (constant
-// density, mean contact degree ≈ 16) run dense — the same fleet with
-// the topology ignored, scanning all 8.4M pairs — and sparse, where
-// pair state and per-slot candidates are both O(contact edges). The
-// sparse sub-bench reports the candidate reduction (all pairs /
-// contact edges, the ≥10× contract at this scale) alongside slots/sec;
-// both Results agree on every in-range pair by the contact-equivalence
-// tests, so the comparison is pure performance.
+// BenchmarkEngineSparse is the acceptance benchmark for the contact
+// engine: a 4,096-agent NETWORK-SPARSE-shaped fleet (constant density,
+// mean contact degree ≈ 16) run dense — the same fleet with the
+// topology ignored, scanning all 8.4M pairs on the inverted scan — and
+// through a contact engine, whose contact-edge pair state routes it to
+// the pairwise scan over the in-range meetable pairs. The contact
+// sub-bench reports the candidate reduction (all pairs / contact
+// edges) alongside slots/sec and fails below the ≥10× contract at this
+// scale; both Results agree on every in-range pair by the
+// contact-equivalence tests, so the comparison is pure performance.
 func BenchmarkEngineSparse(b *testing.B) {
 	const fleet = 4096
 	sc := rendezvous.Scenario{
@@ -305,7 +306,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sparse, err := rendezvous.NewEngineContact(agents, graph.Topology())
+	contact, err := rendezvous.NewEngineContact(agents, graph.Topology())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,16 +316,19 @@ func BenchmarkEngineSparse(b *testing.B) {
 		}
 		b.ReportMetric(float64(sc.Horizon)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
 	})
-	b.Run("sparse", func(b *testing.B) {
+	b.Run("contact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += sparse.RunJointParallelEnv(sc.Horizon, 0, env).MetCount()
+			sink += contact.RunParallelEnv(sc.Horizon, 0, env).MetCount()
 		}
 		b.ReportMetric(float64(sc.Horizon)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
-		// Deterministic (same seed ⇒ same geometry), so the trajectory
-		// gate can hold the reduction floor exactly.
+		// Deterministic (same seed ⇒ same geometry), so every run —
+		// a one-iteration CI smoke pass included — holds the floor.
 		b.ReportMetric(reduction, "reduction")
-		if r := sparse.LastRoute(); r != simulator.RouteSparse {
-			b.Fatalf("sparse engine routed %v, want sparse", r)
+		if reduction < 10 {
+			b.Fatalf("candidate reduction %.1f×, want ≥ 10×", reduction)
+		}
+		if r := contact.LastRoute(); r != simulator.RoutePairwise {
+			b.Fatalf("contact engine routed %v, want pairwise", r)
 		}
 	})
 }

@@ -14,17 +14,17 @@ import (
 // density — and with it the mean contact degree, ≈ π·r² ≈ 16 — is
 // constant as the fleet grows. The all-pairs candidate space grows
 // O(agents²) while the contact-edge space grows O(agents): the reduce
-// column is that ratio, the quantity that lets the engine's sparse scan
-// (pair state and per-slot candidates both O(contact edges)) hold slot
+// column is that ratio, the quantity that lets the contact engine
+// (pair state and scanned pairs both O(contact edges)) hold slot
 // throughput roughly flat where the dense engines hit the quadratic
 // wall. Both full-scale rows route pairwise (eligible pairs at seed 1:
-// 2,590 and 10,760): the 1,024-agent row sits below the joint band,
+// 2,590 and 10,760): the 1,024-agent row sits below the joint floor,
 // and the 4,096-agent row is a contact fleet with edge-indexed pair
-// state inside the band, where RunParallelEnv keeps the pairwise scan.
+// state, which always takes the pairwise scan.
 //
 // Every fleet is a scenario derived purely from the seed (positions
 // included, stream 505), each (fleet, algorithm) cell is one sweep job,
-// and the sparse engine's decompositions are exact — the report is
+// and the contact engine's decompositions are exact — the report is
 // byte-identical at any worker count.
 func NetworkSparse(cfg Config) *Report {
 	fleets := []int{1024, 4096}

@@ -73,7 +73,7 @@ func genGrid(rng *rand.Rand) scenario.Grid {
 }
 
 // GenContactFleetCase is GenFleetCase with a contact grid always
-// present, so the contact-sparse clauses are exercised every iteration
+// present, so the contact-engine clauses are exercised every iteration
 // rather than on the one-in-three draw.
 func GenContactFleetCase(rng *rand.Rand) FleetCase {
 	c := GenFleetCase(rng)
@@ -97,7 +97,7 @@ func (c FleetCase) Build() ([]simulator.Agent, simulator.Environment, error) {
 // time-sharded joint engine must all reproduce the brute-force oracle
 // (ReferenceRun, the one per-slot transcription of the slot model)
 // meeting for meeting, under whatever dynamics the scenario has.
-// Oracle-sized fleets sit far below RunParallelEnv's joint band, so Run
+// Oracle-sized fleets sit far below RunParallelEnv's joint floor, so Run
 // and RunParallelEnv run the pairwise decomposition, and the joint
 // decomposition — the inverted posting scan, on these dense fleets — is
 // called directly. The sharded path runs at several worker counts
@@ -178,7 +178,7 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 	return nil
 }
 
-// checkContactEngine is the contact-sparse clause of CheckFleetEngines:
+// checkContactEngine is the contact-engine clause of CheckFleetEngines:
 // for gridded scenarios the contact engine must reproduce the
 // brute-force oracle filtered to in-range pairs — exactly those, no
 // others — under both pair-state layouts (dense triangular with topo
@@ -220,8 +220,9 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 			}
 		}
 		// Cancellation under both pair-state layouts: the CSR layout
-		// (floor=0) routes the sparse kernel, the triangular layout the
-		// inverted kernel, and both must honor the cancelled-prefix +
+		// (floor=0) routes every entry point to the pairwise kernel, the
+		// triangular layout the joint entry point to the inverted
+		// kernel, and both must honor the cancelled-prefix +
 		// clean-re-run contract.
 		if err := checkCancelledRerun(c, ceng, env, filtered); err != nil {
 			return fmt.Errorf("contact engine (floor=%d): %w", floor, err)

@@ -66,7 +66,8 @@ func TestPropEngineVsOracle(t *testing.T) {
 }
 
 // TestPropContactEngines: same oracle check with a contact grid on
-// every draw, so the contact-sparse clause (both pair-state layouts,
+// every draw, so the contact-engine clause (both pair-state layouts —
+// pairwise on CSR state, inverted on triangular state — against the
 // in-range-filtered reference) runs each iteration rather than on the
 // generator's one-in-three grid draw.
 func TestPropContactEngines(t *testing.T) {

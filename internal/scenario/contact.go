@@ -17,7 +17,8 @@ import (
 // as deterministic as channel sets and churn), and bounds rendezvous
 // to pairs within Radius of each other. The plane is partitioned into
 // square cells of side ≥ Radius, so every in-range pair lives in
-// adjacent cells and the engine's cell-filtered sparse scan applies.
+// adjacent cells and the engine finds the contact edges by scanning
+// each agent's 3×3 cell neighborhood, never all pairs.
 // The zero Grid disables contacts entirely: the scenario is the
 // classic all-pairs workload and nothing downstream changes.
 

@@ -189,8 +189,9 @@ func TestScenarioRunGrid(t *testing.T) {
 // contact fleet, built and simulated end to end inside the CI smoke
 // budget — feasible at all only because every pair structure involved
 // (graph, engine state, summary) is O(contact edges), never
-// O(agents²). It also pins the routing: a fleet this size must take
-// the contact-sparse scan, not any dense path.
+// O(agents²). It also pins the routing: a fleet this size has
+// contact-edge pair state, so it must take the pairwise scan over its
+// in-range meetable pairs, not any posting path.
 func TestSparseFleet100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-agent fleet; skipped in -short")
@@ -218,8 +219,8 @@ func TestSparseFleet100k(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := eng.RunParallelEnv(sc.Horizon, 0, env)
-	if r := eng.LastRoute(); r != simulator.RouteSparse {
-		t.Fatalf("100k-agent contact fleet routed %v, want sparse", r)
+	if r := eng.LastRoute(); r != simulator.RoutePairwise {
+		t.Fatalf("100k-agent contact fleet routed %v, want pairwise", r)
 	}
 	g, err := sc.ContactGraph()
 	if err != nil {
@@ -235,7 +236,7 @@ func TestSparseFleet100k(t *testing.T) {
 		t.Fatalf("edge count %d outside the plausible band for mean degree 16", g.Edges())
 	}
 	if cov.MetPairs == 0 {
-		t.Fatal("no pair met — the sparse scan found nothing")
+		t.Fatal("no pair met — the pairwise scan found nothing")
 	}
 	if eng.Edges() != g.Edges() {
 		t.Fatalf("engine sees %d edges, graph %d", eng.Edges(), g.Edges())

@@ -243,9 +243,10 @@ func agentName(a int) string { return fmt.Sprintf("a%d", a) }
 // Run builds the fleet and runs it with the given worker count (≤ 0
 // means GOMAXPROCS). The engine picks its decomposition by fleet size —
 // the pairwise scan for small fleets, the time-sharded joint scan once
-// the meetable-pair count crosses over, the contact-sparse scan when
-// the scenario has a Grid — and all of them are exact, so the result
-// is byte-identical at any worker count either way.
+// the meetable-pair count crosses over, and the pairwise scan over the
+// in-range pairs for a gridded fleet with contact-edge pair state —
+// and all of them are exact, so the result is byte-identical at any
+// worker count either way.
 func (sc Scenario) Run(build Builder, workers int) (*simulator.Result, []simulator.Agent, error) {
 	fl, err := sc.Open(build)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 type cancelKernel struct {
 	name    string
 	workers []int
-	build   func(t *testing.T, rng *rand.Rand) (*Engine, func())
+	build   func(t *testing.T, rng *rand.Rand) *Engine
 	run     func(s *Session, horizon, workers int) *Result
 	// oracle computes the uncancelled run through the other
 	// decomposition, so no kernel is checked against itself.
@@ -22,13 +22,13 @@ type cancelKernel struct {
 }
 
 // cancelKernels covers every kernel a public entry point reaches on a
-// small fleet: pairwise, inverted (through the sharded driver at one
-// worker and at several), and contact-sparse. Each build picks
-// a fleet (and, where a small fleet would not reach its kernel, a
-// pair-state floor restored by the returned cleanup) that routes to its
-// kernel, so the tests pin the cancellation seam per kernel. The wide
-// posting kernel needs a fleet past schedule.MaxPostingMembers to be
-// routed, so TestCancelWideKernel forces it directly.
+// small fleet: pairwise (on triangular and on contact-edge CSR pair
+// state) and inverted (through the sharded driver at one worker and at
+// several). Each build picks a fleet (and, for the CSR row, a
+// pair-state layout) that routes to its kernel, so the tests pin the
+// cancellation seam per kernel. The wide posting kernel needs a fleet
+// past schedule.MaxPostingMembers to be routed, so
+// TestCancelWideKernel forces it directly.
 func cancelKernels() []cancelKernel {
 	parallel := func(s *Session, horizon, workers int) *Result {
 		return s.RunParallelEnv(horizon, workers, nil)
@@ -38,18 +38,22 @@ func cancelKernels() []cancelKernel {
 	}
 	jointOracle := func(e *Engine, horizon int) *Result { return e.RunJointParallelEnv(horizon, 1, nil) }
 	pairwiseOracle := func(e *Engine, horizon int) *Result { return pairwiseRun(e, horizon, nil) }
+	// tri is the csr row's oracle engine: the same contact fleet with
+	// triangular pair state, on which the joint entry point runs the
+	// inverted scan. Its build sets it before any oracle call.
+	var tri *Engine
 	return []cancelKernel{
 		{
 			name:    "pairwise",
 			workers: []int{1, 3},
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
-				// 10 agents sit far below the joint band, so RunParallelEnv
+			build: func(t *testing.T, rng *rand.Rand) *Engine {
+				// 10 agents sit far below jointPairFloor, so RunParallelEnv
 				// routes to the pairwise kernel.
 				eng, err := NewEngine(jointTestFleet(t, rng, 10))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng
 			},
 			run:    parallel,
 			oracle: jointOracle,
@@ -57,7 +61,7 @@ func cancelKernels() []cancelKernel {
 		{
 			name:    "sharded",
 			workers: []int{1, 3},
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) *Engine {
 				// Even a 10-agent fleet takes the time-sharded posting
 				// driver, also at one worker: workers=1 runs its solo
 				// seen-bitset path, which the multi-worker rows miss.
@@ -65,7 +69,7 @@ func cancelKernels() []cancelKernel {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng
 			},
 			run:    joint,
 			oracle: pairwiseOracle,
@@ -73,37 +77,33 @@ func cancelKernels() []cancelKernel {
 		{
 			name:    "inverted",
 			workers: []int{2, 5},
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) *Engine {
 				// A dense fleet within the posting member cap: the joint
 				// entry point routes to the inverted posting scan.
 				eng, err := NewEngine(jointTestFleet(t, rng, 12))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng
 			},
 			run:    joint,
 			oracle: pairwiseOracle,
 		},
 		{
-			name:    "sparse",
+			name:    "csr",
 			workers: []int{2, 5},
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
-				n := 24
-				// The pair-state layout is fixed at construction, so the
-				// floor drops first: CSR pair state routes to the sparse
-				// kernel.
-				prev := SetSparseStateFloor(0)
+			build: func(t *testing.T, rng *rand.Rand) *Engine {
+				// CSR pair state routes even the joint entry point to the
+				// pairwise kernel; the oracle runs the same fleet with
+				// triangular state.
+				const n = 24
 				fleet := jointTestFleet(t, rng, n)
-				eng, err := NewEngineContact(fleet, randomTopology(rng, n, 3, 3, 1.0))
-				if err != nil {
-					SetSparseStateFloor(prev)
-					t.Fatal(err)
-				}
-				return eng, func() { SetSparseStateFloor(prev) }
+				var eng *Engine
+				eng, tri = contactLayouts(t, fleet, randomTopology(rng, n, 3, 3, 1.0))
+				return eng
 			},
 			run:    joint,
-			oracle: pairwiseOracle,
+			oracle: func(_ *Engine, horizon int) *Result { return tri.RunJointParallelEnv(horizon, 1, nil) },
 		},
 	}
 }
@@ -120,8 +120,7 @@ func TestCancelMidRun(t *testing.T) {
 	for _, k := range cancelKernels() {
 		t.Run(k.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(97))
-			eng, restore := k.build(t, rng)
-			defer restore()
+			eng := k.build(t, rng)
 			const horizon = 4096
 			fullRes := k.oracle(eng, horizon)
 			want := renderMeetings(fullRes)
@@ -178,7 +177,7 @@ func TestCancelMidRun(t *testing.T) {
 
 // TestCancelSerialRun covers cancellation of Session.RunEnv, which takes
 // the router at one worker: on a small fleet it runs the pairwise scan,
-// on one inside the joint band the posting driver's solo path. Both
+// on one above jointPairFloor the posting driver's solo path. Both
 // poll at the same block cadence; a cancelled run records only true
 // first meetings, and a Reset + re-run on the same session reproduces
 // the other decomposition's result.
@@ -250,8 +249,7 @@ func TestCancelLeavesNoPins(t *testing.T) {
 			prevCache := SetTableCache(cache)
 			defer SetTableCache(prevCache)
 			rng := rand.New(rand.NewSource(53))
-			eng, restore := k.build(t, rng)
-			defer restore()
+			eng := k.build(t, rng)
 			const horizon = 4096
 			sess := eng.Session()
 			for _, polls := range []int64{1, 4} {

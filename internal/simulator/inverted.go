@@ -41,13 +41,13 @@ import (
 // The scan records into the per-pair hit arrays the time-sharded merge
 // consumes, and feeds the shared seen-bitset, so the window-partition
 // argument for byte-identical Results at any worker count covers it.
-// It shares one driver, scanShardPosting, with the wide and
-// contact-sparse kernels: the block fill, the transpose, and the
-// per-slot gather are common, and only the per-group detection
-// differs. Environments apply as channel masks before intersection: at
-// most one Available call per (channel, slot), made lazily when the
-// channel's group first exposes a live candidate pair, after which a
-// blocked channel's whole group is skipped.
+// It shares one driver, scanShardPosting, with the wide kernel: the
+// block fill, the transpose, and the per-slot gather are common, and
+// only the per-group detection differs. Environments apply as channel
+// masks before intersection: at most one Available call per (channel,
+// slot), made lazily when the channel's group first exposes a live
+// candidate pair, after which a blocked channel's whole group is
+// skipped.
 
 // invertedWideBudget caps the per-worker met-template memory the wide
 // posting scan may spend: the triangular template is O(agents²/128)
@@ -71,19 +71,17 @@ func metTemplateBytes(n int) int64 {
 	return words * 8
 }
 
-// scanKindFor picks the joint scan for a run: the cell-filtered sparse
-// scan whenever the pair state is contact-edge CSR, and otherwise a
-// posting scan over the triangular state — the narrow kernel up to
+// scanKindFor picks the joint scan for a run: a posting scan over the
+// triangular pair state — the narrow kernel up to
 // schedule.MaxPostingMembers agents, the wide one past it while the
-// met template fits invertedWideBudget. Three shapes get scanNone and
+// met template fits invertedWideBudget. Four shapes get scanNone and
 // run pairwise: empty horizons, horizons whose slot keys overflow the
-// int32 hit encoding, and dense fleets past the wide scan's memory cap.
+// int32 hit encoding, dense fleets past the wide scan's memory cap,
+// and contact fleets with contact-edge CSR pair state, which has no
+// met rows to seed.
 func (e *Engine) scanKindFor(horizon int) scanKind {
-	if horizon <= 0 || horizon >= math.MaxInt32 {
+	if horizon <= 0 || horizon >= math.MaxInt32 || e.ps.rowBase == nil {
 		return scanNone
-	}
-	if e.ps.rowBase == nil {
-		return scanSparse
 	}
 	n := len(e.agents)
 	if n <= schedule.MaxPostingMembers {
@@ -165,12 +163,10 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 }
 
 // postingScratch is one worker's private posting-scan state, shared
-// by every posting kernel: the per-agent dense-id block buffers, the
+// by both posting kernels: the per-agent dense-id block buffers, the
 // posting gather, the per-agent activity clamps for the current block,
-// and the slot-major id transpose, plus each kernel's own state — met
-// rows for the inverted kernels, heap posting bitsets for the wide one,
-// and the candidate-edge gather for the sparse one. Recycled through
-// Engine.postPool.
+// the slot-major id transpose and the met rows, plus the wide kernel's
+// heap posting bitsets. Recycled through Engine.postPool.
 type postingScratch struct {
 	// bufs are per-agent views into flat (n*blockLen): agent i's dense
 	// channel ids for the current block. raw is the FillBlockDense
@@ -189,7 +185,6 @@ type postingScratch struct {
 	// bitset of earlier agents i has already met within this worker's
 	// windows (or never can meet — see metSeed), the word-parallel
 	// mirror of hits[p].s != 0. rowFull[i] marks i's saturated words.
-	// Nil until an inverted kernel runs.
 	met     []uint64
 	rowFull []uint64
 	// pwWide/segWide replace scanGroup's register-resident posting
@@ -197,40 +192,32 @@ type postingScratch struct {
 	// 64-words-per-bit nonzero summary (see scanGroupWide). Nil until
 	// the wide kernel runs.
 	pwWide, segWide []uint64
-	// cand is scanGroupSparse's candidate-edge gather, reused across
-	// groups and windows.
-	cand []int32
 }
 
 // getPostingScratch returns a pooled scratch seeded for a fresh scan of
-// kind: the inverted kernels get met rows copied from tmpl and
-// full-word masks from full. The block buffers are refilled before
-// every read, the posting gather is self-cleaning (every slot ends in
-// ResetSlot) and scanGroupWide clears its posting words before
-// returning, so pooled reuse needs no other reset.
+// kind: met rows copied from tmpl and full-word masks from full. The
+// block buffers are refilled before every read, the posting gather is
+// self-cleaning (every slot ends in ResetSlot) and scanGroupWide clears
+// its posting words before returning, so pooled reuse needs no other
+// reset.
 func (e *Engine) getPostingScratch(kind scanKind, tmpl, full []uint64) *postingScratch {
 	sc, _ := e.postPool.Get().(*postingScratch)
 	n := len(e.agents)
 	if sc == nil {
 		sc = &postingScratch{
-			flat: make([]int32, n*blockLen),
-			bufs: make([][]int32, n),
-			raw:  make([]int, blockLen),
-			post: schedule.NewPostingIndexWide(e.chIdx.count, n),
-			from: make([]int32, n),
-			to:   make([]int32, n),
-			ids:  make([]int32, n*blockLen),
+			flat:    make([]int32, n*blockLen),
+			bufs:    make([][]int32, n),
+			raw:     make([]int, blockLen),
+			post:    schedule.NewPostingIndexWide(e.chIdx.count, n),
+			from:    make([]int32, n),
+			to:      make([]int32, n),
+			ids:     make([]int32, n*blockLen),
+			met:     make([]uint64, len(tmpl)),
+			rowFull: make([]uint64, n),
 		}
 		for i := range sc.bufs {
 			sc.bufs[i] = sc.flat[i*blockLen : (i+1)*blockLen]
 		}
-	}
-	if kind == scanSparse {
-		return sc
-	}
-	if sc.met == nil {
-		sc.met = make([]uint64, len(tmpl))
-		sc.rowFull = make([]uint64, n)
 	}
 	if kind == scanInvertedWide && sc.pwWide == nil {
 		wpm := (n + 63) / 64
@@ -320,12 +307,11 @@ type shardState struct {
 // scanShardPosting runs one posting kernel over global slots [lo, hi),
 // recording each pair's first hit within this worker's windows into
 // st.hits and feeding the shared completion and cancellation state.
-// Every kernel shares the block fill, the transpose, and the per-slot
+// Both kernels share the block fill, the transpose, and the per-slot
 // counting gather; only the per-group detection differs by kind:
-// scanGroup's register-resident bitsets, scanGroupWide's heap bitsets
+// scanGroup's register-resident bitsets or scanGroupWide's heap bitsets
 // (a routing input, not derived from the fleet here, so tests can
-// force the wide kernel on small fleets), or scanGroupSparse's
-// cell-interval search over contact-edge pair state. The returned bool
+// force the wide kernel on small fleets). The returned bool
 // reports whether [lo, hi) was scanned to completion (false when
 // st.cancel fired mid-window). A solo worker's early exit also ends
 // the window, and counts as complete: every meetable pair already holds
@@ -342,22 +328,11 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 	// stack because groups are processed to completion one at a time,
 	// and scanGroup clears its own nonzero words before returning.
 	var pw [schedule.MaxPostingMembers / 64]uint64
-	var gcx groupScanCtx
-	var scx sparseGroupCtx
-	if kind == scanSparse {
-		scx = sparseGroupCtx{
-			topo: e.topo, union: e.union,
-			hits: st.hits, env: st.env, seen: st.seen,
-			st: st, meetable: st.meetable, solo: st.solo,
-			cand: psc.cand,
-		}
-	} else {
-		gcx = groupScanCtx{
-			rowBase: e.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
-			union: e.union, met: psc.met, rowFull: psc.rowFull[:n],
-			hits: st.hits, env: st.env, seen: st.seen,
-			st: st, meetable: st.meetable, solo: st.solo,
-		}
+	gcx := groupScanCtx{
+		rowBase: e.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
+		union: e.union, met: psc.met, rowFull: psc.rowFull[:n],
+		hits: st.hits, env: st.env, seen: st.seen,
+		st: st, meetable: st.meetable, solo: st.solo,
 	}
 	complete := true
 	for base := lo; base < hi; base += blockLen {
@@ -400,21 +375,15 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 					if len(g) < 2 {
 						continue // a lone listener meets nobody
 					}
-					switch kind {
-					case scanInverted:
+					if kind == scanInverted {
 						scanGroup(&gcx, &pw, g, t, tk, int(c))
-					case scanInvertedWide:
+					} else {
 						scanGroupWide(&gcx, psc.pwWide, psc.segWide, g, t, tk, int(c))
-					default:
-						scanGroupSparse(&scx, g, t, tk, int(c))
 					}
 				}
 			}
 			post.ResetSlot()
 		}
-	}
-	if kind == scanSparse {
-		psc.cand = scx.cand
 	}
 	return complete
 }
@@ -537,9 +506,10 @@ func scanGroup(cx *groupScanCtx, pw *[schedule.MaxPostingMembers / 64]uint64, g 
 // so the walk here is deliberately flat and the hit recording lives in
 // its own //go:noinline half (recordWideCands); do not merge them or
 // deepen the nesting without re-running the proptest soak. The bug
-// family was later isolated to the go1.24.0 atomic.OrUint64 intrinsic
-// (see setSeenBit in joint.go); every scan kernel now routes its
-// seen-bitset OR through that helper.
+// family was later isolated to the go1.24.0 atomic.OrUint64 intrinsic,
+// which miscompiled its enclosing scan kernels in optimized builds
+// (caught by TestPropContactEngines; see setSeenBit in joint.go), so
+// both posting kernels route their seen-bitset OR through that helper.
 //
 //go:noinline
 func scanGroupWide(cx *groupScanCtx, pw, segNZ []uint64, g []int32, t int, tk int32, d int) {

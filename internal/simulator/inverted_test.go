@@ -65,10 +65,10 @@ func TestInvertedScratchReuse(t *testing.T) {
 
 // TestScanKindGates pins the routing predicate itself: every dense
 // fleet within the posting member cap takes the inverted scan however
-// small, contact-edge pair state takes the sparse scan, and only empty
-// horizons, horizons whose slot keys overflow the int32 hit encoding
-// and dense fleets past the wide scan's memory cap get scanNone (and
-// run pairwise).
+// small, and only empty horizons, horizons whose slot keys overflow
+// the int32 hit encoding, contact-edge (CSR) pair state and dense
+// fleets past the wide scan's memory cap get scanNone (and run
+// pairwise).
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, agents := range []int{2, 8, 191} {
@@ -92,8 +92,8 @@ func TestScanKindGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := contact.scanKindFor(1000); k != scanSparse {
-		t.Fatalf("CSR contact engine must route sparse, got %v", k)
+	if k := contact.scanKindFor(1000); k != scanNone {
+		t.Fatalf("CSR contact engine must get scanNone, got %v", k)
 	}
 	// Past the wide scan's memory cap the met template alone would
 	// exceed invertedWideBudget per worker.

@@ -80,7 +80,6 @@ const (
 	scanNone         scanKind = iota // no posting kernel takes the run: it goes pairwise
 	scanInverted                     // posting scan, register-resident group bitsets
 	scanInvertedWide                 // posting scan, 64×64-word sharded group bitsets
-	scanSparse                       // contact-topology cell-filtered posting scan
 )
 
 // route maps a scan kind to its reported Route.
@@ -90,8 +89,6 @@ func (k scanKind) route() Route {
 		return RouteInverted
 	case scanInvertedWide:
 		return RouteInvertedWide
-	case scanSparse:
-		return RouteSparse
 	}
 	return RoutePairwise
 }
@@ -124,7 +121,7 @@ func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env 
 type shardRun struct {
 	plan                     *runPlan
 	kind                     scanKind
-	tmpl, full               []uint64 // metSeed's template, nil for the sparse kernel
+	tmpl, full               []uint64 // metSeed's template and full-word summary
 	horizon, window, windows int
 	// seen is the shared pair-has-a-hit-somewhere bitset driving
 	// ordered-window cancellation; seenCount trips done when the last
@@ -190,9 +187,7 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 	workers = min(workers, windows)
 	r := e.getShardRun(workers, windows)
 	r.plan, r.kind, r.horizon, r.window, r.windows = e.planFor(horizon), kind, horizon, window, windows
-	if kind != scanSparse {
-		r.tmpl, r.full = e.metSeed(horizon)
-	}
+	r.tmpl, r.full = e.metSeed(horizon)
 	for w := range workers {
 		r.st[w] = shardState{hits: r.hits[w], env: env, seen: r.seen,
 			seenCount: &r.seenCount, done: &r.done, meetable: meetable,
@@ -283,9 +278,8 @@ func (e *Engine) scanWindows(r *shardRun, w int) {
 // Or intrinsic's enclosing scan kernels — later candidates in the same
 // loop silently dropped, or call arguments corrupted — in optimized
 // builds only (-N -l and -race builds are correct). Caught by
-// TestPropContactEngines; see also the miscompilation guard on
-// scanGroupSparse. Do not "simplify" this back to atomic.OrUint64
-// without re-running the proptest soak.
+// TestPropContactEngines. Do not "simplify" this back to
+// atomic.OrUint64 without re-running the proptest soak.
 func setSeenBit(seen []uint64, p int) bool {
 	w, m := p>>6, uint64(1)<<(p&63)
 	for {

@@ -238,12 +238,12 @@ func TestConcurrentRunsOnOneEngine(t *testing.T) {
 }
 
 // TestRunParallelJointCrossover exercises RunParallelEnv's routing to
-// the joint engine: a fleet above the joint band's ceiling must still
+// the joint engine: a fleet well above jointPairFloor must still
 // reproduce the pairwise decomposition exactly (routing is a
 // performance choice, never a semantic one).
 func TestRunParallelJointCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const agents = 240 // ~28k pairs, well past jointPairCeiling even after disjoint-set pruning
+	const agents = 240 // ~28k pairs, well past jointPairFloor even after disjoint-set pruning
 	fleet := make([]Agent, agents)
 	for i := range fleet {
 		seq := []int{1 + rng.Intn(6), 1 + rng.Intn(6), 1 + rng.Intn(6)}
@@ -257,7 +257,7 @@ func TestRunParallelJointCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.meetablePairs(256); n <= jointPairCeiling {
+	if n := eng.meetablePairs(256); n < jointPairFloor {
 		t.Fatalf("fleet too small to route joint: %d pairs", n)
 	}
 	want := renderMeetings(pairwiseRun(eng, 256, evenSlotsBlocked{}))

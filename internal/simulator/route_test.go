@@ -27,139 +27,146 @@ func routeFleet(t *testing.T, rng *rand.Rand, groups ...int) []Agent {
 
 // TestRouteIsPure pins RunParallelEnv's routing as a pure function of
 // (fleet, horizon): each case runs five times per worker count on one
-// engine and must take the same route every time, with an identical
-// Result. Inside the [jointPairFloor, jointPairCeiling] band a dense
-// fleet of any size routes to the inverted posting scan and a contact
-// fleet stays pairwise; below the band every fleet is pairwise and
-// above it every fleet is joint — a dense one on the inverted scan at
-// any worker count.
+// engine and must take the same route every time, with a Result
+// identical to both decompositions'. From jointPairFloor meetable
+// pairs up, a dense fleet of any size takes the inverted posting scan
+// at any worker count, while a contact fleet with edge-indexed (CSR)
+// pair state stays pairwise however many pairs it has; below the floor
+// every fleet is pairwise. "In-band" fixtures hold 4,096–16,384
+// meetable pairs and "above-band" ones more.
 func TestRouteIsPure(t *testing.T) {
 	const horizon = 512
 	cases := []struct {
-		name    string
-		build   func(t *testing.T, rng *rand.Rand) (*Engine, func())
-		band    bool  // meetable count must lie inside the band
+		name string
+		// build returns the routed engine and the engine whose joint
+		// entry point gives the second decomposition: the same engine
+		// for a dense fleet, the triangular-state twin for a CSR one.
+		build   func(t *testing.T, rng *rand.Rand) (eng, joint *Engine)
+		joint   bool  // the meetable count must reach jointPairFloor
 		workers []int // RunParallelEnv worker counts; nil means {2}
-		want    func(Route) bool
+		want    Route
 	}{
 		{
-			// A small dense fleet inside the band routes to the inverted
+			// A small dense fleet in the band routes to the inverted
 			// scan from its first run on.
 			name: "dense-small-in-band",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				eng, err := NewEngine(routeFleet(t, rng, 128)) // 7,225 meetable pairs
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng, eng
 			},
-			band: true,
-			want: func(r Route) bool { return r == RouteInverted },
+			joint: true,
+			want:  RouteInverted,
 		},
 		{
 			// A small dense fleet above the band takes the inverted scan
 			// at one worker and at two.
 			name: "dense-small-above-band",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
-				// Every cycle includes channel 1, so all 17,955 pairs are
-				// meetable.
-				fleet := make([]Agent, 190)
-				for i := range fleet {
-					seq := []int{1, 2 + rng.Intn(4), 2 + rng.Intn(4)}
-					fleet[i] = Agent{Name: fmt.Sprintf("h%03d", i), Sched: mustCyclic(t, seq)}
-				}
-				eng, err := NewEngine(fleet)
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
+				eng, err := NewEngine(sharedChannelFleet(t, rng, 190))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m := eng.meetablePairs(horizon); m <= jointPairCeiling {
-					t.Fatalf("%d meetable pairs, want above %d", m, jointPairCeiling)
+				if m := eng.meetablePairs(horizon); m != 190*189/2 {
+					t.Fatalf("%d meetable pairs, want all %d", m, 190*189/2)
 				}
-				return eng, func() {}
+				return eng, eng
 			},
+			joint:   true,
 			workers: []int{1, 2},
-			want:    func(r Route) bool { return r == RouteInverted },
+			want:    RouteInverted,
 		},
 		{
 			name: "dense-in-band",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				eng, err := NewEngine(routeFleet(t, rng, 100, 100)) // 9,900 meetable pairs, 200 agents
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng, eng
 			},
-			band: true,
-			want: func(r Route) bool { return r == RouteInverted },
+			joint: true,
+			want:  RouteInverted,
 		},
 		{
+			// Edge-indexed pair state is what makes a fleet a contact
+			// fleet to the router; one cell keeps every pair in range.
 			name: "contact-in-band",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
-				// Edge-indexed pair state is what makes a fleet a contact
-				// fleet to the router; one cell keeps every pair in range.
-				prev := SetSparseStateFloor(0)
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				const n = 120 // 7,140 meetable pairs
-				eng, err := NewEngineContact(routeFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
-				if err != nil {
-					SetSparseStateFloor(prev)
-					t.Fatal(err)
-				}
-				return eng, func() { SetSparseStateFloor(prev) }
+				return contactLayouts(t, routeFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
 			},
-			band: true,
-			want: func(r Route) bool { return r == RoutePairwise },
+			joint: true,
+			want:  RoutePairwise,
+		},
+		{
+			// However many meetable pairs a CSR fleet has, it stays
+			// pairwise at one worker and at two.
+			name: "contact-above-band",
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
+				const n = 200
+				csr, tri := contactLayouts(t, sharedChannelFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
+				if m := csr.meetablePairs(horizon); m != n*(n-1)/2 {
+					t.Fatalf("%d meetable pairs, want all %d", m, n*(n-1)/2)
+				}
+				return csr, tri
+			},
+			joint:   true,
+			workers: []int{1, 2},
+			want:    RoutePairwise,
 		},
 		{
 			name: "small",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				eng, err := NewEngine(routeFleet(t, rng, 24))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng, eng
 			},
-			want: func(r Route) bool { return r == RoutePairwise },
+			want: RoutePairwise,
 		},
 		{
 			name: "above-band",
-			build: func(t *testing.T, rng *rand.Rand) (*Engine, func()) {
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				eng, err := NewEngine(routeFleet(t, rng, 200)) // 19,900 meetable pairs
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng, func() {}
+				return eng, eng
 			},
-			want: func(r Route) bool { return r == RouteInverted },
+			joint: true,
+			want:  RouteInverted,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, restore := tc.build(t, rand.New(rand.NewSource(113)))
-			defer restore()
-			if m := eng.meetablePairs(horizon); tc.band && (m < jointPairFloor || m > jointPairCeiling) {
-				t.Fatalf("%d meetable pairs missed the band [%d, %d]", m, jointPairFloor, jointPairCeiling)
+			eng, jointEng := tc.build(t, rand.New(rand.NewSource(113)))
+			if m := eng.meetablePairs(horizon); (m >= jointPairFloor) != tc.joint {
+				t.Fatalf("%d meetable pairs: at or above jointPairFloor (%d) must be %v", m, jointPairFloor, tc.joint)
 			}
 			// Both decompositions must agree, so every routed run below is
 			// checked against a kernel other than its own.
 			want := pairwiseRun(eng, horizon, nil).Meetings()
-			if joint := eng.RunJointParallelEnv(horizon, 1, nil).Meetings(); !slices.Equal(joint, want) {
+			if joint := jointEng.RunJointParallelEnv(horizon, 1, nil).Meetings(); !slices.Equal(joint, want) {
 				t.Fatal("the joint and pairwise decompositions disagree")
+			}
+			if r := jointEng.LastRoute(); r != RouteInverted {
+				t.Fatalf("the joint decomposition routed %v, want inverted", r)
 			}
 			workers := tc.workers
 			if workers == nil {
 				workers = []int{2}
 			}
 			for _, w := range workers {
-				var routes []Route
 				for run := 0; run < 5; run++ {
 					if got := eng.RunParallelEnv(horizon, w, nil).Meetings(); !slices.Equal(got, want) {
 						t.Fatalf("workers=%d run %d diverged from the decompositions", w, run)
 					}
-					routes = append(routes, eng.LastRoute())
-				}
-				for _, r := range routes {
-					if r != routes[0] || !tc.want(r) {
-						t.Fatalf("workers=%d routes %v: want the same expected route on every run", w, routes)
+					if r := eng.LastRoute(); r != tc.want {
+						t.Fatalf("workers=%d run %d routed %v, want %v", w, run, r, tc.want)
 					}
 				}
 			}
@@ -167,50 +174,65 @@ func TestRouteIsPure(t *testing.T) {
 	}
 }
 
-// TestJointChoiceBandEdges pins routesJoint at the band boundaries: a
-// count below jointPairFloor is pairwise and one above jointPairCeiling
-// is joint whatever the fleet, and both edges are inside the band,
-// where the choice follows the fleet's joint scan kind — joint for
-// every dense fleet, small or not, and pairwise for a contact fleet
-// with edge-indexed pair state.
+// sharedChannelFleet builds n agents whose cycles all include channel
+// 1, so every pair is meetable.
+func sharedChannelFleet(t *testing.T, rng *rand.Rand, n int) []Agent {
+	t.Helper()
+	fleet := make([]Agent, n)
+	for i := range fleet {
+		seq := []int{1, 2 + rng.Intn(4), 2 + rng.Intn(4)}
+		fleet[i] = Agent{Name: fmt.Sprintf("h%03d", i), Sched: mustCyclic(t, seq)}
+	}
+	return fleet
+}
+
+// TestJointChoiceBandEdges pins the joint band's one edge,
+// jointPairFloor, on observed routes: 91 agents sharing channel 1 give
+// 4,095 meetable pairs and run pairwise, and one more agent whose set
+// overlaps exactly one of theirs gives 4,096 and runs the inverted
+// scan, at one worker and at two. Each fleet's Result must equal the
+// other decomposition's.
 func TestJointChoiceBandEdges(t *testing.T) {
 	const horizon = 512
-	rng := rand.New(rand.NewSource(109))
-	small, err := NewEngine(routeFleet(t, rng, 8))
-	if err != nil {
-		t.Fatal(err)
+	var fleet []Agent
+	for i := range 91 {
+		fleet = append(fleet, Agent{Name: fmt.Sprintf("f%02d", i), Sched: mustCyclic(t, []int{1, 100 + i})})
 	}
-	dense, err := NewEngine(routeFleet(t, rng, 100, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetSparseStateFloor(0)
-	contact, err := NewEngineContact(routeFleet(t, rng, 8), randomTopology(rng, 8, 2, 2, 1.5))
-	SetSparseStateFloor(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Channel 100 is f00's alone: the extra agent meets f00 at slot 1.
+	extra := Agent{Name: "g", Sched: mustCyclic(t, []int{100})}
 	for _, tc := range []struct {
-		name     string
-		eng      *Engine
+		fleet    []Agent
 		meetable int
-		want     bool
+		want     Route
 	}{
-		{"small/below-floor", small, jointPairFloor - 1, false},
-		{"small/floor", small, jointPairFloor, true},
-		{"small/ceiling", small, jointPairCeiling, true},
-		{"small/above-ceiling", small, jointPairCeiling + 1, true},
-		{"dense/below-floor", dense, jointPairFloor - 1, false},
-		{"dense/floor", dense, jointPairFloor, true},
-		{"dense/ceiling", dense, jointPairCeiling, true},
-		{"dense/above-ceiling", dense, jointPairCeiling + 1, true},
-		{"contact/below-floor", contact, jointPairFloor - 1, false},
-		{"contact/floor", contact, jointPairFloor, false},
-		{"contact/ceiling", contact, jointPairCeiling, false},
-		{"contact/above-ceiling", contact, jointPairCeiling + 1, true},
+		{fleet, jointPairFloor - 1, RoutePairwise},
+		{append(slices.Clone(fleet), extra), jointPairFloor, RouteInverted},
 	} {
-		if got := tc.eng.routesJoint(tc.meetable, horizon); got != tc.want {
-			t.Errorf("%s: routesJoint(%d) = %v, want %v", tc.name, tc.meetable, got, tc.want)
+		eng, err := NewEngine(tc.fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := eng.meetablePairs(horizon); m != tc.meetable {
+			t.Fatalf("%d agents: %d meetable pairs, want %d", len(tc.fleet), m, tc.meetable)
+		}
+		var other *Result
+		if tc.want == RoutePairwise {
+			other = eng.RunJointParallelEnv(horizon, 1, nil)
+			if r := eng.LastRoute(); r != RouteInverted {
+				t.Fatalf("%d agents: the joint decomposition routed %v, want inverted", len(tc.fleet), r)
+			}
+		} else {
+			other = pairwiseRun(eng, horizon, nil)
+		}
+		want := renderMeetings(other)
+		for _, w := range []int{1, 2} {
+			got := renderMeetings(eng.RunParallelEnv(horizon, w, nil))
+			if r := eng.LastRoute(); r != tc.want {
+				t.Fatalf("%d meetable pairs, workers=%d: routed %v, want %v", tc.meetable, w, r, tc.want)
+			}
+			if got != want {
+				t.Fatalf("%d meetable pairs, workers=%d: diverged from the other decomposition", tc.meetable, w)
+			}
 		}
 	}
 }

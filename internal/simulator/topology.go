@@ -21,21 +21,21 @@ import (
 //
 // Engines built with a topology (NewEngineContact) reorder agents
 // cell-major internally: each cell's agents occupy one contiguous id
-// range, a 3×3 neighborhood is three contiguous id ranges (one per
-// cell row), and the sparse scan turns "who in this channel group is
-// in range of agent i" into three binary searches plus a walk of
-// exactly the in-range co-channel members. Pair state is indexed by
-// contact-edge id (CSR over forward neighbors) from a size threshold
-// up and by the classic triangular layout below it. Both layouts
-// produce byte-identical Results, but the layout also picks the joint
-// kernel: triangular state takes the inverted posting scan (its met
-// rows pre-mark out-of-range pairs), CSR state the cell-filtered
-// sparse scan. On 2,048- and 3,000-agent contact fleets in the joint
-// regime (32 channels, K=4, mean contact degree ≈ 64, horizon 8,192,
-// one engine worker, 2-vCPU Xeon VM, go1.24.0) the inverted scan ran
-// in 0.23 s and 0.43 s and the sparse scan in 3.8 s and 5.6 s, 13–16×
-// slower, so the threshold trades the triangular state's O(agents²)
-// memory for that speed.
+// range, so a 3×3 neighborhood is three contiguous id ranges (one per
+// cell row) and the forward-edge build walks exactly those. Pair state
+// is indexed by contact-edge id (CSR over forward neighbors) from a
+// size threshold up and by the classic triangular layout below it.
+// Both layouts produce byte-identical Results, but the layout also
+// picks the kernel: triangular state lets joint runs take the inverted
+// posting scan (its met rows pre-mark out-of-range pairs), while CSR
+// state has no met rows, so every run on it takes the pairwise scan
+// over the in-range meetable pairs. The threshold trades the
+// triangular state's O(agents²) memory for the posting scan's speed:
+// on 2,048- and 3,000-agent contact fleets (32 channels, K=4, mean
+// contact degree ≈ 60, horizon 8,192, primary users, one engine
+// worker, best of 3 warm runs, 2-vCPU Xeon VM, go1.24.0) the inverted
+// scan on triangular state took 0.24–0.25 s and 0.55–0.57 s, the
+// pairwise scan 0.45–0.47 s and 0.63–0.68 s.
 
 // ContactTopology places each agent of a fleet on a grid of square
 // cells and bounds rendezvous to pairs within Radius of each other.
@@ -78,11 +78,11 @@ func (ct *ContactTopology) validate(n int) error {
 
 // sparseStateFloor is the fleet size at which a contact engine switches
 // its pair state from the dense triangular layout to contact-edge CSR.
-// Below it the triangular arrays are small enough to afford, and they
-// route joint runs to the faster inverted scan; above it they grow
-// O(agents²) while the edge state stays O(contact edges). Both layouts
-// produce byte-identical Results; atomic only so tests can force
-// either layout.
+// Below it the triangular arrays are small enough to afford, and joint
+// runs on them can take the inverted scan; from it they would grow
+// O(agents²) while the edge state stays O(contact edges), and runs go
+// pairwise. Both layouts produce byte-identical Results; atomic only
+// so tests can force either layout.
 var sparseStateFloor atomic.Int64
 
 const defaultSparseStateFloor = 4096
@@ -91,8 +91,9 @@ func init() { sparseStateFloor.Store(defaultSparseStateFloor) }
 
 // SetSparseStateFloor repoints the fleet size from which contact
 // engines use edge-indexed pair state, returning the previous floor.
-// It exists for equivalence tests; the layout is a memory/performance
-// choice that never changes a Result.
+// It exists for equivalence tests, which check the pairwise scan on
+// CSR state against the inverted scan on triangular state; the layout
+// is a memory/performance choice that never changes a Result.
 func SetSparseStateFloor(agents int) (previous int) {
 	return int(sparseStateFloor.Swap(int64(agents)))
 }
@@ -100,7 +101,7 @@ func SetSparseStateFloor(agents int) (previous int) {
 // topoState is the engine-resident contact structure, in engine
 // (cell-major) agent order: a CSR of each cell's agents plus a CSR of
 // each agent's forward (higher-id) in-range neighbors. The forward
-// lists double as the sparse pair-state index: edge e of agent i is
+// lists double as the CSR pair-state index: edge e of agent i is
 // pair (i, fwdAdj[e]) with state slot e.
 type topoState struct {
 	cellsX, cellsY int
@@ -209,8 +210,6 @@ const (
 	// RouteInvertedWide: the posting-list scan with 64×64-word sharded
 	// group bitsets (fleets past schedule.MaxPostingMembers).
 	RouteInvertedWide
-	// RouteSparse: the contact-topology cell-filtered posting scan.
-	RouteSparse
 )
 
 // String names the route for test failures and logs.
@@ -224,8 +223,6 @@ func (r Route) String() string {
 		return "inverted"
 	case RouteInvertedWide:
 		return "inverted-wide"
-	case RouteSparse:
-		return "sparse"
 	}
 	return fmt.Sprintf("route(%d)", int32(r))
 }
@@ -253,14 +250,11 @@ func (e *Engine) Edges() int {
 // they hop. Agents are reordered cell-major internally (the Result API
 // is name-keyed, so callers never observe the permutation). Pair state
 // is triangular below SetSparseStateFloor (4,096 agents by default) and
-// contact-edge CSR from it, and the layout picks the joint kernel:
-// triangular state takes the inverted posting scan (RouteInverted),
-// CSR state the cell-filtered posting scan (RouteSparse), whose
-// per-slot cost is O(active agents + in-range co-channel candidates)
-// with pair state O(contact edges). The inverted scan ran 13–16×
-// faster than the sparse one on 2,048- and 3,000-agent contact fleets
-// (see the measurement at the top of this file), so CSR state is for
-// fleets whose triangular state would not fit.
+// contact-edge CSR from it, and the layout picks the kernel: joint runs
+// on triangular state take the inverted posting scan (RouteInverted),
+// while every run on CSR state takes the pairwise scan (RoutePairwise)
+// over the in-range meetable pairs, with pair state O(contact edges).
+// CSR state is for fleets whose triangular state would not fit.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	if topo == nil {
 		return NewEngine(agents)
@@ -317,8 +311,8 @@ func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 }
 
 // buildForwardEdges materializes each agent's forward (higher-id)
-// in-range neighbors by scanning the 3×3 cell neighborhood — the same
-// three-row walk the sparse scan performs per slot, paid once here.
+// in-range neighbors by scanning the 3×3 cell neighborhood: three
+// contiguous id rows, thanks to the cell-major renumbering.
 func (t *topoState) buildForwardEdges() {
 	n := len(t.cellOf)
 	t.fwdBase = make([]int32, n+1)

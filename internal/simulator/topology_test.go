@@ -24,6 +24,25 @@ func randomTopology(rng *rand.Rand, n, cellsX, cellsY int, radius float64) *Cont
 	return ct
 }
 
+// contactLayouts builds fleet under topo with each pair-state layout:
+// contact-edge CSR, on which every run takes the pairwise scan, and
+// triangular, on which the joint entry point takes the inverted scan —
+// so each engine is the other's independent oracle.
+func contactLayouts(t *testing.T, fleet []Agent, topo *ContactTopology) (csr, tri *Engine) {
+	t.Helper()
+	prev := SetSparseStateFloor(0)
+	defer SetSparseStateFloor(prev)
+	csr, err := NewEngineContact(fleet, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetSparseStateFloor(1 << 30)
+	if tri, err = NewEngineContact(fleet, topo); err != nil {
+		t.Fatal(err)
+	}
+	return csr, tri
+}
+
 // inRangeByName reports whether the topology places two input indices
 // within contact range, recomputed from the raw positions so tests do
 // not trust the engine's own geometry.
@@ -157,11 +176,12 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 	}
 }
 
-// TestSparseRouteObserved pins the routing observability: a contact
-// engine with CSR pair state reports RouteSparse from the joint entry
-// point, and RunEnv reports the router's choice — pairwise, for a fleet
-// this far below the joint band.
-func TestSparseRouteObserved(t *testing.T) {
+// TestContactRouteObserved pins the routing observability: a contact
+// engine with CSR pair state reports RoutePairwise even from the joint
+// entry point, since no posting kernel takes CSR state, and RunEnv
+// reports the router's choice — pairwise, for a fleet this far below
+// jointPairFloor.
+func TestContactRouteObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	fleet := jointTestFleet(t, rng, 24)
 	ct := randomTopology(rng, 24, 4, 3, 1)
@@ -175,8 +195,8 @@ func TestSparseRouteObserved(t *testing.T) {
 		t.Fatalf("fresh engine LastRoute = %v, want none", r)
 	}
 	eng.RunJointParallelEnv(800, 2, nil)
-	if r := eng.LastRoute(); r != RouteSparse {
-		t.Fatalf("joint run on CSR contact engine routed %v, want sparse", r)
+	if r := eng.LastRoute(); r != RoutePairwise {
+		t.Fatalf("joint run on CSR contact engine routed %v, want pairwise", r)
 	}
 	eng.RunEnv(800, nil)
 	if r := eng.LastRoute(); r != RoutePairwise {

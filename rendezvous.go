@@ -135,7 +135,8 @@ type Grid = scenario.Grid
 
 // ContactGraph is a gridded scenario's contact relation: per-agent
 // neighbor lists, per-cell agent lists, and the edge count — the
-// denominator of the sparse engine's candidate-reduction measurements.
+// denominator of the contact engine's candidate-reduction
+// measurements.
 type ContactGraph = scenario.ContactGraph
 
 // ContactTopology places explicit agents on a cell grid for
@@ -179,11 +180,9 @@ func NewEngine(agents []Agent) (*Engine, error) {
 // NewEngineContact is NewEngine under a contact topology: only pairs
 // within the contact radius can rendezvous. Fleets below 4,096 agents
 // keep triangular pair state and their joint scans take the inverted
-// posting scan, which ran 13–16× faster than the cell-filtered scan on
-// 2,048- and 3,000-agent contact fleets; from 4,096 agents pair state
-// scales with contact edges instead of agents², and the joint scans
-// take the cell-filtered sparse scan. A nil topology is plain
-// NewEngine.
+// posting scan; from 4,096 agents pair state scales with contact edges
+// instead of agents², and every run takes the pairwise scan over the
+// in-range meetable pairs. A nil topology is plain NewEngine.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	return simulator.NewEngineContact(agents, topo)
 }
