@@ -155,10 +155,12 @@ fuzz-smoke:
 
 # Property soak: every TestProp property at PROPTEST_ITERS iterations
 # on an optimized build. Run it after any change to a scan kernel: the
-# go1.24.0 miscompiles the //go:noinline group kernels and the Load+CAS
-# setSeenBit work around show up only in optimized builds (-race and
-# -N builds are correct), so `make race` cannot stand in for it. The
-# nightly workflow runs it at PROPTEST_ITERS=100000.
+# go1.24.0 miscompiles that the posting scan's two //go:noinline halves
+# (the group walk scanGroup and its recording half recordCands) and the
+# Load+CAS setSeenBit work around show up only in optimized builds
+# (-race and -N builds are correct), so `make race` cannot stand in for
+# it. The nightly workflow runs it at PROPTEST_ITERS=100000, once on
+# go.mod's Go release line and once on go1.24.0 exactly.
 PROPTEST_ITERS ?= 1500
 prop-soak:
 	PROPTEST_ITERS=$(PROPTEST_ITERS) $(GO) test -count=1 -timeout 170m -run 'TestProp' ./internal/proptest
@@ -210,17 +212,24 @@ serve-chaos:
 		./internal/serve ./internal/simulator
 	$(GO) test -race -count=1 -run 'TestServeChaosDrain' ./cmd/rvserve
 
-# Network-scale smoke: the 1M-agent contact fleet (`rvsim -scenario
-# sparse`: derivation, contact graph, engine build, the pairwise scan
-# over 167k eligible in-range pairs, summary) end to end, its report
-# byte-compared with the committed expected file. About 15 s and under
-# 1 GiB on a 2-vCPU host; the nightly workflow runs it, `make ci` does
-# not.
+# Network-scale smoke, two fleets end to end, each report byte-compared
+# with its committed expected file:
+#   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
+#     contact graph, engine build, the pairwise scan over 167k eligible
+#     in-range pairs, summary), about 15 s and under 1 GiB;
+#   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
+#     posting scan walks two summary words per group (one per 4,096
+#     agents), about 5 s and 511 MiB.
+# Timings are for a 2-vCPU host; the nightly workflow runs it, `make ci`
+# does not.
 network-smoke:
 	@out=$$(mktemp); \
-	$(GO) run ./cmd/rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 > $$out \
-		&& cmp $$out cmd/rvsim/testdata/network-1m.txt; \
-	status=$$?; rm -f $$out; exit $$status
+	$(GO) build -o $$out.rvsim ./cmd/rvsim \
+		&& $$out.rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 > $$out \
+		&& cmp $$out cmd/rvsim/testdata/network-1m.txt \
+		&& $$out.rvsim -scenario churn-pu -agents 5000 -n 128 -horizon 4096 -seed 3 > $$out \
+		&& cmp $$out cmd/rvsim/testdata/network-5k-dense.txt; \
+	status=$$?; rm -f $$out $$out.rvsim; exit $$status
 
 # The exact sequence CI runs; keep local and CI invocations identical.
 # bench-compare-smoke subsumes bench-json-smoke (it regenerates the

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -36,15 +37,16 @@ type Grid struct {
 // enabled reports whether the scenario has contact geometry.
 func (g Grid) enabled() bool { return g.Side > 0 }
 
-// cells returns the grid dimension per axis: the largest cell count
-// whose cell side Side/cells still covers Radius, so a 3×3 cell
-// neighborhood always contains the full contact disc.
-func (g Grid) cells() int {
-	c := int(g.Side / g.Radius)
-	if c < 1 {
-		c = 1
-	}
-	return c
+// cells returns the grid dimension per axis for a fleet of agents: the
+// largest cell count whose cell side Side/cells still covers Radius, so
+// a 3×3 cell neighborhood always contains the full contact disc, capped
+// at ⌈√agents⌉ so the per-cell arrays grow with the fleet rather than
+// the area. The cap only makes cells larger, which keeps the cover;
+// the exact radius test decides every contact, so the contact graph is
+// the same at any cell count.
+func (g Grid) cells(agents int) int {
+	c := min(g.Side/g.Radius, math.Ceil(math.Sqrt(float64(agents))))
+	return max(int(c), 1)
 }
 
 // validate checks the grid parameters.
@@ -70,7 +72,7 @@ func (sc Scenario) contactTopology() *simulator.ContactTopology {
 	if !sc.Grid.enabled() {
 		return nil
 	}
-	cells := sc.Grid.cells()
+	cells := sc.Grid.cells(sc.Agents)
 	cellSide := sc.Grid.Side / float64(cells)
 	ct := &simulator.ContactTopology{
 		CellsX: cells, CellsY: cells,

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,39 @@ func gridScenario(agents int) Scenario {
 	return Scenario{
 		Name: "grid-test", N: 16, Agents: agents, K: 3, Seed: 11, Horizon: 4000,
 		Grid: Grid{Side: 8, Radius: 1.5},
+	}
+}
+
+// TestGridCellsScaleWithFleet pins the cell grid to the fleet, not the
+// area: a two-agent fleet on a vast plane with a unit radius must open
+// and build its contact graph over a handful of cells. Uncapped, side
+// 10,000 builds 10⁸ cells (over 1 GiB of per-cell arrays) and side
+// 50,000 overflows the int32 cell-id range.
+func TestGridCellsScaleWithFleet(t *testing.T) {
+	build, err := BuilderFor("ours", 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []float64{10_000, 50_000} {
+		sc := Scenario{
+			Name: "vast-plane", N: 16, Agents: 2, K: 3, Seed: 5, Horizon: 64,
+			Grid: Grid{Side: side, Radius: 1},
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fl, err := sc.Open(build)
+		if err != nil {
+			t.Fatalf("side=%v: Open: %v", side, err)
+		}
+		g := fl.Graph()
+		runtime.ReadMemStats(&after)
+		fl.Close()
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+			t.Fatalf("side=%v: Open+Graph allocated %d MiB, want under 16", side, got>>20)
+		}
+		if cx, cy := g.Cells(); cx != 2 || cy != 2 {
+			t.Fatalf("side=%v: %dx%d cells, want 2x2 (⌈√agents⌉ per axis)", side, cx, cy)
+		}
 	}
 }
 

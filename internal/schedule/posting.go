@@ -16,13 +16,14 @@ import "math/bits"
 //
 // The index holds member ids, not bitsets: groups are disjoint (a
 // member listens on exactly one channel per slot), so the consumer can
-// materialize each group's 64-member bitset words in registers while
-// walking it, rather than paying per-member read-modify-writes into a
-// shared words array. Which channels have members is itself a bitset
-// (ChannelMask), kept by an unconditional OR in Count — no
+// materialize one group's member bitset at a time in its own scratch
+// while walking it, rather than the index keeping a bitset per
+// channel. Which channels have members is itself a
+// bitset (ChannelMask), kept by an unconditional OR in Count — no
 // first-arrival branch on the hot path — and ResetSlot clears in
 // O(touched channels), so a slot in which most channels are silent
-// costs nothing for them.
+// costs nothing for them. The gather is O(members) per slot at any
+// universe size.
 
 // PostingIndex gathers one slot's members into per-channel posting
 // lists. It is sized once for a (channels, members) universe and reused
@@ -33,46 +34,18 @@ type PostingIndex struct {
 	pos  []int32  // per-channel write cursor into out (end offset after Put)
 	mask []uint64 // bitset of channels with ≥ 1 member this slot
 	out  []int32  // members grouped by channel, caller's visit order within each
-	wpm  int
 }
 
-// MaxPostingMembers is the largest member universe a PostingIndex
-// supports: one 64-bit summary word indexes at most 64 posting words.
-const MaxPostingMembers = 64 * 64
-
-// NewPostingIndex returns an index over the given universe sizes.
-// members must not exceed MaxPostingMembers; consumers that intersect
-// groups through a single register-resident 64-word bitset rely on
-// that bound. Use NewPostingIndexWide for larger member universes.
+// NewPostingIndex returns an index over the given universe sizes: any
+// number of channels and members.
 func NewPostingIndex(channels, members int) *PostingIndex {
-	if members > MaxPostingMembers {
-		panic("schedule: PostingIndex member universe exceeds MaxPostingMembers (use NewPostingIndexWide)")
-	}
-	return NewPostingIndexWide(channels, members)
-}
-
-// NewPostingIndexWide is NewPostingIndex without the member cap: the
-// gather itself is O(members) whatever the universe size — the cap
-// exists only for consumers that mirror a group as one fixed 64-word
-// bitset. Consumers of a wide index must shard their group bitsets
-// (64×64-word segments) or walk member ids directly.
-func NewPostingIndexWide(channels, members int) *PostingIndex {
-	wpm := (members + 63) / 64
-	if wpm == 0 {
-		wpm = 1
-	}
 	return &PostingIndex{
 		cnt:  make([]int32, channels),
 		pos:  make([]int32, channels),
 		mask: make([]uint64, (channels+63)/64),
 		out:  make([]int32, members),
-		wpm:  wpm,
 	}
 }
-
-// WordsPerSet returns the number of 64-bit words needed to hold one
-// group as a member bitset.
-func (p *PostingIndex) WordsPerSet() int { return p.wpm }
 
 // Count notes one member listening on channel ch (counting pass; call
 // once per member, before Place). Branch-free: the channel mask is

@@ -58,9 +58,6 @@ func wantGroups(t *testing.T, p *PostingIndex, want map[int32][]int32) {
 
 func TestPostingIndexRoundTrip(t *testing.T) {
 	p := NewPostingIndex(4, 130)
-	if got := p.WordsPerSet(); got != 3 {
-		t.Fatalf("WordsPerSet() = %d, want 3 for 130 members", got)
-	}
 	// Channel assignment spanning member word boundaries, visited in
 	// member order as the simulator does: groups must come back in that
 	// order.
@@ -121,16 +118,40 @@ func TestPostingIndexMaskBoundary(t *testing.T) {
 	}
 }
 
-// TestPostingIndexTinyUniverse covers the wpm floor: zero members
-// still reports one word per set so bitset consumers never size an
-// empty buffer.
+// TestPostingIndexTinyUniverse covers the empty universe: an index
+// over zero members still cycles through an empty slot.
 func TestPostingIndexTinyUniverse(t *testing.T) {
 	p := NewPostingIndex(1, 0)
-	if p.WordsPerSet() != 1 {
-		t.Fatalf("WordsPerSet() = %d, want floor of 1", p.WordsPerSet())
-	}
 	gather(p, nil)
 	if tc := touched(p); len(tc) != 0 {
 		t.Fatalf("empty universe touched channels: %v", tc)
 	}
+}
+
+// TestPostingIndexLargeUniverse gathers past 4,096 members, the width
+// one 64-bit summary word of 64-member posting words covers: the index
+// takes any member count, and groups spanning that boundary keep their
+// visit order.
+func TestPostingIndexLargeUniverse(t *testing.T) {
+	const members = 4096 + 130
+	p := NewPostingIndex(3, members)
+	assign := make([]int32, members)
+	want := map[int32][]int32{}
+	for m := range assign {
+		ch := int32(m % 3)
+		if m >= 4000 && m < 4200 {
+			ch = 1 // one long group straddling member 4,096
+		}
+		assign[m] = ch
+		want[ch] = append(want[ch], int32(m))
+	}
+	gather(p, assign)
+	wantGroups(t, p, want)
+	p.ResetSlot()
+	gather(p, assign[:4097])
+	last := map[int32][]int32{}
+	for m, ch := range assign[:4097] {
+		last[ch] = append(last[ch], int32(m))
+	}
+	wantGroups(t, p, last)
 }

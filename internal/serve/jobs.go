@@ -101,34 +101,49 @@ func (s *JobSpec) validate() error {
 	return nil
 }
 
-// id derives the job's identity from the normalized spec: an FNV-1a
-// hash of its canonical JSON. Identity is content, not arrival — an
-// identical resubmission lands on the same job (idempotent POST), and
-// ids are reproducible across server restarts and worker counts,
-// which is what keeps the API byte-deterministic under load.
-func (s JobSpec) id() string {
+// canonical returns the spec's canonical JSON: the bytes its id hashes
+// and the identity an id hit is checked against.
+func (s JobSpec) canonical() string {
 	b, err := json.Marshal(s)
 	if err != nil {
 		// Marshal of these plain structs cannot fail; keep the
 		// signature infallible.
 		panic(fmt.Sprintf("serve: marshal job spec: %v", err))
 	}
+	return string(b)
+}
+
+// id derives the job's identity from the normalized spec: an FNV-1a
+// hash of its canonical JSON. Identity is content, not arrival — an
+// identical resubmission lands on the same job (idempotent POST), and
+// ids are reproducible across server restarts and worker counts,
+// which is what keeps the API byte-deterministic under load. A 64-bit
+// hash can collide, so Submit confirms an id hit against the stored
+// spec's canonical JSON.
+func (s JobSpec) id() string { return jobID(s.canonical()) }
+
+// jobID hashes a canonical spec into its job id.
+func jobID(canonical string) string {
 	h := fnv.New64a()
-	h.Write(b)
+	h.Write([]byte(canonical))
 	return fmt.Sprintf("j%016x", h.Sum64())
 }
 
-// fleetKey identifies the reusable fleet shape behind a spec: every
-// field except the horizon and per-request knobs. Fleet derivation and
-// environment dynamics are horizon-independent, so jobs that differ
-// only in horizon share one engine and session — exactly the reuse
-// path the session layer was built for.
+// fleetKey identifies the reusable fleet shape behind a spec: the
+// canonical JSON of every field except the horizon and per-request
+// knobs. Fleet derivation and environment dynamics are
+// horizon-independent, so jobs that differ only in horizon share one
+// engine and session — exactly the reuse path the session layer was
+// built for. The key is the JSON itself, not a hash of it, so two
+// fleet shapes can never share a pooled session or a quota count. It
+// is derived where it is needed rather than stored on the job, so the
+// finished jobs kept until their TTL do not each hold a copy.
 func (s JobSpec) fleetKey() string {
 	s.Scenario.Horizon = 0
 	s.EngineWorkers = 0
 	s.IncludeMeetings = false
 	s.TimeoutMs = 0
-	return s.id()
+	return s.canonical()
 }
 
 // JobResult is the deterministic outcome of a completed job. Every
@@ -149,8 +164,6 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	// fleet is the spec's fleetKey, cached for quota bookkeeping.
-	fleet string
 	// canc is the job's cancellation seam into the engine: DELETE and
 	// the deadline timer fire it, the worker installs it on the session
 	// before running. Always non-nil for jobs created by Submit.
@@ -349,21 +362,32 @@ var ErrDraining = fmt.Errorf("serve: draining, not accepting jobs")
 // ErrQuotaExceeded rejects submissions past the per-fleet-shape cap.
 var ErrQuotaExceeded = fmt.Errorf("serve: per-fleet job quota exceeded")
 
+// ErrJobConflict rejects a spec whose job id is already held by a job
+// with a different spec: a hash collision, never served as the other
+// job.
+var ErrJobConflict = fmt.Errorf("serve: job id collides with a different spec")
+
 // errCanceled is the error recorded for explicitly canceled jobs.
 var errCanceled = fmt.Errorf("job canceled")
 
 // Submit validates and enqueues a job, returning the tracked Job and
 // whether this call created it. Resubmitting an identical spec returns
-// the existing job in whatever state it is (idempotent by content).
+// the existing job in whatever state it is (idempotent by content); a
+// different spec whose id collides with a tracked job's gets
+// ErrJobConflict.
 func (m *Manager) Submit(spec JobSpec) (job *Job, created bool, err error) {
 	spec.normalize()
 	if err := spec.validate(); err != nil {
 		return nil, false, err
 	}
-	id := spec.id()
+	key := spec.canonical()
+	id := jobID(key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j, ok := m.jobs[id]; ok {
+		if j.Spec.canonical() != key {
+			return nil, false, ErrJobConflict
+		}
 		return j, false, nil
 	}
 	if m.closed {
@@ -375,7 +399,7 @@ func (m *Manager) Submit(spec JobSpec) (job *Job, created bool, err error) {
 		return nil, false, ErrQuotaExceeded
 	}
 	j := &Job{
-		ID: id, Spec: spec, fleet: fleet,
+		ID: id, Spec: spec,
 		canc:   &simulator.Canceler{},
 		status: StatusQueued, done: make(chan struct{}),
 	}
@@ -397,9 +421,10 @@ func (m *Manager) finishJob(j *Job, status JobStatus, res *JobResult, err error)
 	if !j.finish(status, res, err) {
 		return
 	}
+	fleet := j.Spec.fleetKey()
 	m.mu.Lock()
-	if m.fleetActive[j.fleet]--; m.fleetActive[j.fleet] <= 0 {
-		delete(m.fleetActive, j.fleet)
+	if m.fleetActive[fleet]--; m.fleetActive[fleet] <= 0 {
+		delete(m.fleetActive, fleet)
 	}
 	m.mu.Unlock()
 	// Waiters wake only once the quota slot is free, so one that
@@ -527,7 +552,8 @@ func (m *Manager) runJob(pool *sessionPool, j *Job) {
 		defer timer.Stop()
 	}
 	sc := j.Spec.Scenario
-	fs = pool.get(j.fleet)
+	fleet := j.Spec.fleetKey()
+	fs = pool.get(fleet)
 	if fs == nil {
 		build, err := scenario.BuilderFor(j.Spec.Alg, sc.N, sc.Seed)
 		if err != nil {
@@ -540,7 +566,7 @@ func (m *Manager) runJob(pool *sessionPool, j *Job) {
 			return
 		}
 		fs = &fleetSession{fl: fl, sess: fl.Eng.Session()}
-		if evicted := pool.put(j.fleet, fs); evicted != nil {
+		if evicted := pool.put(fleet, fs); evicted != nil {
 			evicted.fl.Close()
 		}
 		m.sessionsOpened.Add(1)

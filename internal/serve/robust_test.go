@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rendezvous/internal/simulator"
 )
 
 // postForHeaders is postJSON plus the response headers, for tests that
@@ -413,5 +416,67 @@ func TestOversizeBodyRejected(t *testing.T) {
 		if code, body := postJSON(t, ts, tc.path, pad(MaxBodyBytes-len(tc.body))); code != tc.ok {
 			t.Fatalf("POST %s with a body of exactly %d bytes: status %d, want %d (body %s)", tc.path, MaxBodyBytes, code, tc.ok, body)
 		}
+	}
+}
+
+// TestJobIDCollision pins idempotent ids against hash collisions: a
+// tracked job holding a different spec under a spec's id — planted
+// here where a 64-bit FNV-1a collision would put it — must never be
+// served for that spec. Submit reports ErrJobConflict, POST answers
+// 409, and the planted job stays as it was.
+func TestJobIDCollision(t *testing.T) {
+	withIsolatedCache(t)
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Drain(5 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	mgr := srv.Manager()
+
+	spec, other := testSpec(21, 256), testSpec(22, 256)
+	spec.normalize()
+	other.normalize()
+	id := spec.id()
+	planted := &Job{ID: id, Spec: other, canc: &simulator.Canceler{},
+		status: StatusDone, result: &JobResult{}, done: make(chan struct{})}
+	close(planted.done)
+	mgr.mu.Lock()
+	mgr.jobs[id] = planted
+	mgr.mu.Unlock()
+
+	if j, created, err := mgr.Submit(spec); !errors.Is(err, ErrJobConflict) || j != nil || created {
+		t.Fatalf("Submit of a colliding spec = (%p, %v, %v), want ErrJobConflict and no job", j, created, err)
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := postJSON(t, ts, "/v1/jobs", string(b)); code != http.StatusConflict {
+		t.Fatalf("POST of a colliding spec: status %d (%s), want 409", code, body)
+	}
+	if j, ok := mgr.Job(id); !ok || j != planted || j.Spec.canonical() != other.canonical() {
+		t.Fatalf("the job holding id %s changed: %+v", id, j)
+	}
+}
+
+// TestFleetKey pins the session and quota key: specs that differ only
+// in horizon or per-request knobs share one fleet key, and the key is
+// the fleet spec's canonical JSON, so distinct fleet shapes never
+// share one.
+func TestFleetKey(t *testing.T) {
+	a, b := testSpec(5, 256), testSpec(5, 4096)
+	b.EngineWorkers, b.IncludeMeetings, b.TimeoutMs = 3, false, 50
+	a.normalize()
+	b.normalize()
+	if a.fleetKey() != b.fleetKey() {
+		t.Fatalf("specs differing only in horizon and knobs got fleet keys\n%s\n%s", a.fleetKey(), b.fleetKey())
+	}
+	c := testSpec(6, 256)
+	c.normalize()
+	if c.fleetKey() == a.fleetKey() {
+		t.Fatal("specs with different seeds share a fleet key")
+	}
+	var fleet JobSpec
+	if err := json.Unmarshal([]byte(a.fleetKey()), &fleet); err != nil || fleet.Scenario.Seed != 5 || fleet.Scenario.Horizon != 0 {
+		t.Fatalf("fleet key %q is not the fleet spec's JSON (err %v)", a.fleetKey(), err)
 	}
 }

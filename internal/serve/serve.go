@@ -226,6 +226,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
+	case errors.Is(err, ErrJobConflict):
+		writeErr(w, http.StatusConflict, err)
+		return
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, err)
 		return

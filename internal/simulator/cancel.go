@@ -4,11 +4,10 @@ import "sync/atomic"
 
 // Canceler is the cooperative stop seam for a run: fire Cancel from any
 // goroutine and every scan kernel of the run observing it — pairwise
-// and the time-sharded posting kernels (inverted and wide) — stops at
-// its next block-window boundary. The check discipline is
-// exactly one poll per 256-slot block per worker (plus one per window
-// claim), so an uncancelled run pays a handful of atomic loads per
-// scan, nothing per slot.
+// and the time-sharded posting scan — stops at its next block-window
+// boundary. The check discipline is exactly one poll per 256-slot block
+// per worker (plus one per window claim), so an uncancelled run pays a
+// handful of atomic loads per scan, nothing per slot.
 //
 // A cancelled run returns a partial Result: some subset of the true
 // first meetings (every hit it did record is exact — kernels record

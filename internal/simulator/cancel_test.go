@@ -26,9 +26,7 @@ type cancelKernel struct {
 // state) and inverted (through the sharded driver at one worker and at
 // several). Each build picks a fleet (and, for the CSR row, a
 // pair-state layout) that routes to its kernel, so the tests pin the
-// cancellation seam per kernel. The wide posting kernel needs a fleet
-// past schedule.MaxPostingMembers to be routed, so
-// TestCancelWideKernel forces it directly.
+// cancellation seam per kernel.
 func cancelKernels() []cancelKernel {
 	parallel := func(s *Session, horizon, workers int) *Result {
 		return s.RunParallelEnv(horizon, workers, nil)
@@ -305,21 +303,20 @@ func TestCancelAfterEarlyExit(t *testing.T) {
 	const horizon = 1024
 	env := &cancelRaceEnv{c: &Canceler{}, release: make(chan struct{})}
 	res := eng.newResult(horizon)
-	eng.runJointSharded(res, horizon, 2, 512, env, eng.meetablePairs(horizon), scanInverted, env.c)
+	eng.runJointSharded(res, horizon, 2, 512, env, eng.meetablePairs(horizon), env.c)
 	if m, ok := res.Meeting("a", "b"); ok {
 		t.Fatalf("cancelled run recorded %+v, but the first meeting is at slot 300", m)
 	}
 }
 
-// TestCancelWideKernel pins the cancellation contract on the wide
-// posting kernel, which no public entry point reaches below
-// schedule.MaxPostingMembers agents: like TestInvertedWordBoundaryFleets
-// it forces scanInvertedWide through runJointSharded on a small fleet.
-// A cancelled run must equal the uncancelled run cut at a window
-// boundary (the partial-prefix contract), and a re-run into the same
-// reset Result on the same engine, reusing the scratch the cancelled
-// run pooled, must reproduce the uncancelled run exactly.
-func TestCancelWideKernel(t *testing.T) {
+// TestCancelPostingWindowPrefix pins the cancellation contract on the
+// posting scan driven directly through runJointSharded, on a fleet
+// spanning two posting words. A cancelled run must equal the
+// uncancelled run cut at a window boundary (the partial-prefix
+// contract), and a re-run into the same reset Result on the same
+// engine, reusing the scratch the cancelled run pooled, must reproduce
+// the uncancelled run exactly.
+func TestCancelPostingWindowPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	eng, err := NewEngine(jointTestFleet(t, rng, 70)) // two posting words
 	if err != nil {
@@ -339,7 +336,7 @@ func TestCancelWideKernel(t *testing.T) {
 			canc := &Canceler{}
 			canc.CancelAfterPolls(polls)
 			res.reset(horizon)
-			eng.runJointSharded(res, horizon, workers, window, nil, meetable, scanInvertedWide, canc)
+			eng.runJointSharded(res, horizon, workers, window, nil, meetable, canc)
 			if !canc.Canceled() {
 				t.Fatalf("workers=%d polls=%d: canceler did not fire", workers, polls)
 			}
@@ -351,7 +348,7 @@ func TestCancelWideKernel(t *testing.T) {
 				t.Fatalf("workers=%d: cancel before the first window recorded %d meetings", workers, res.MetCount())
 			}
 			res.reset(horizon)
-			eng.runJointSharded(res, horizon, workers, window, nil, meetable, scanInvertedWide, nil)
+			eng.runJointSharded(res, horizon, workers, window, nil, meetable, nil)
 			if got := res.Meetings(); !slices.Equal(got, full) {
 				t.Fatalf("workers=%d polls=%d: post-cancel re-run diverged:\n got %v\nwant %v", workers, polls, got, full)
 			}

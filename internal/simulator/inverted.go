@@ -20,8 +20,8 @@ import (
 // counting gather). Each agent sits on exactly one channel per slot, so
 // the groups partition the slot's arrivals and can be processed
 // independently: walking a group in ascending id order, its members'
-// 64-agent bitset words build up in registers, and each member detects
-// its new meetings word-parallel:
+// 64-agent bitset words build up in a stack array, and each member
+// detects its new meetings word-parallel:
 //
 //	cand = posting[w] &^ met[i][w]
 //
@@ -34,34 +34,31 @@ import (
 // been dealt with, and a per-agent full-word mask prunes it from every
 // later arrival. The steady-state cost per slot is O(active agents)
 // with a small constant: per-pair work is paid exactly once per
-// meeting, and a slot's posting state lives entirely in registers and
-// the L1-resident gather arrays — no per-arrival stamp checks or
-// shared-words read-modify-writes survive from the pair-axis designs.
+// meeting, and a slot's posting state lives entirely in registers, the
+// stack and the L1-resident gather arrays — no per-arrival stamp checks
+// or shared-words read-modify-writes survive from the pair-axis
+// designs.
 //
 // The scan records into the per-pair hit arrays the time-sharded merge
 // consumes, and feeds the shared seen-bitset, so the window-partition
 // argument for byte-identical Results at any worker count covers it.
-// It shares one driver, scanShardPosting, with the wide kernel: the
-// block fill, the transpose, and the per-slot gather are common, and
-// only the per-group detection differs. Environments apply as channel
-// masks before intersection: at most one Available call per (channel,
-// slot), made lazily when the channel's group first exposes a live
-// candidate pair, after which a blocked channel's whole group is
-// skipped.
+// One kernel serves every fleet size. A summary word marks which of 64
+// posting words are nonzero, so it covers 4,096 agents: a fleet of up
+// to 4,096 agents walks each group in one pass over one summary word,
+// and a larger fleet walks one pass per summary word its group spans,
+// with the same saturation pruning throughout. Environments apply as
+// channel masks before
+// intersection: at most one Available call per (channel, slot), made
+// lazily when the channel's group first exposes a live candidate pair,
+// after which a blocked channel's whole group is skipped.
 
-// invertedWideBudget caps the per-worker met-template memory the wide
+// metTemplateBudget caps the per-worker met-template memory the
 // posting scan may spend: the triangular template is O(agents²/128)
 // words, which passes ~256 MB near 65k agents — past that the dense
 // pair state is the real wall (that is what contact topologies are
 // for), and such fleets run the pairwise decomposition, which keeps no
 // per-worker pair state.
-const invertedWideBudget = 1 << 28
-
-// wideMemberLimit caps the member universe the wide posting scan
-// accepts: past it each member's summary walk (one segNZ word per 4,096
-// members) stops being noise against the candidate work it prunes, and
-// the met template blows the memory budget long before that anyway.
-const wideMemberLimit = 64 * 64 * 64
+const metTemplateBudget = 1 << 28
 
 // metTemplateBytes sizes the triangular met template at fleet size n
 // without building it: rows total Σ(i>>6 + 1) words.
@@ -71,26 +68,15 @@ func metTemplateBytes(n int) int64 {
 	return words * 8
 }
 
-// scanKindFor picks the joint scan for a run: a posting scan over the
-// triangular pair state — the narrow kernel up to
-// schedule.MaxPostingMembers agents, the wide one past it while the
-// met template fits invertedWideBudget. Four shapes get scanNone and
-// run pairwise: empty horizons, horizons whose slot keys overflow the
-// int32 hit encoding, dense fleets past the wide scan's memory cap,
-// and contact fleets with contact-edge CSR pair state, which has no
-// met rows to seed.
-func (e *Engine) scanKindFor(horizon int) scanKind {
-	if horizon <= 0 || horizon >= math.MaxInt32 || e.ps.rowBase == nil {
-		return scanNone
-	}
-	n := len(e.agents)
-	if n <= schedule.MaxPostingMembers {
-		return scanInverted
-	}
-	if n <= wideMemberLimit && metTemplateBytes(n) <= invertedWideBudget {
-		return scanInvertedWide
-	}
-	return scanNone
+// usesPostingScan is the joint entry points' gate: whether a run over
+// horizon takes the posting scan over the triangular pair state. Four
+// shapes run pairwise instead: empty horizons, horizons whose slot keys
+// overflow the int32 hit encoding, dense fleets whose met template
+// passes metTemplateBudget, and contact fleets with contact-edge CSR
+// pair state, which has no met rows to seed.
+func (e *Engine) usesPostingScan(horizon int) bool {
+	return horizon > 0 && horizon < math.MaxInt32 && e.ps.rowBase != nil &&
+		metTemplateBytes(len(e.agents)) <= metTemplateBudget
 }
 
 // metBase returns the triangular met-row offsets: row i occupies
@@ -116,19 +102,20 @@ func (e *Engine) metBase() []int32 {
 	return base
 }
 
-// metSeed returns the met-row template the inverted scan starts from,
-// and its full-word summary (rowFull), cached per horizon on the
-// engine. Row i pre-marks the diagonal, the bits of its last word
-// above i (ids that can never appear in a posting list i detects
-// against), and every earlier agent j with which i can never meet
-// within the horizon (disjoint hop sets, non-overlapping activity
-// windows, or out of contact range). Seeding unmeetable pairs is what
-// lets saturation pruning converge: a row word goes all-ones exactly
-// when every agent in it has either met i or never can, at which point
-// no arrival ever looks at it again. Fleets past the posting member
-// cap get no full-word summary — rowFull packs one bit per row word,
-// which only addresses rows up to 64 words — so the wide scan runs
-// without saturation pruning.
+// metSeed returns the met-row template the posting scan starts from,
+// and its full-word masks (rowFull), cached per horizon on the engine.
+// Row i pre-marks the diagonal, the bits of its last word above i (ids
+// that can never appear in a posting list i detects against), and
+// every earlier agent j with which i can never meet within the horizon
+// (disjoint hop sets, non-overlapping activity windows, or out of
+// contact range). Seeding unmeetable pairs is what lets saturation
+// pruning converge: a row word goes all-ones exactly when every agent
+// in it has either met i or never can, at which point no arrival ever
+// looks at it again. rowFull holds one word per agent per summary word
+// (one summary word per 4,096 agents), laid out summary word by
+// summary word: bit w&63 of full[(w>>6)*n+i] marks agent i's row word
+// w saturated, so a row's seeded-full words are pruned from the first
+// slot on, at every fleet size.
 func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 	base := e.metBase()
 	e.mu.Lock()
@@ -137,9 +124,8 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 		return e.metSeedTmpl, e.metSeedFull
 	}
 	n := len(e.agents)
-	wide := n > schedule.MaxPostingMembers
 	tmpl = make([]uint64, base[n])
-	full = make([]uint64, n)
+	full = make([]uint64, n*((n+4095)>>12))
 	for i := 0; i < n; i++ {
 		row := tmpl[base[i]:base[i+1]]
 		iw := i >> 6
@@ -149,12 +135,9 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 				row[j>>6] |= 1 << (j & 63)
 			}
 		}
-		if wide {
-			continue
-		}
 		for w := 0; w <= iw; w++ {
 			if row[w] == ^uint64(0) {
-				full[i] |= 1 << (w & 63)
+				full[(w>>6)*n+i] |= 1 << (w & 63)
 			}
 		}
 	}
@@ -162,11 +145,10 @@ func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 	return tmpl, full
 }
 
-// postingScratch is one worker's private posting-scan state, shared
-// by both posting kernels: the per-agent dense-id block buffers, the
-// posting gather, the per-agent activity clamps for the current block,
-// the slot-major id transpose and the met rows, plus the wide kernel's
-// heap posting bitsets. Recycled through Engine.postPool.
+// postingScratch is one worker's private posting-scan state: the
+// per-agent dense-id block buffers, the posting gather, the per-agent
+// activity clamps for the current block, the slot-major id transpose
+// and the met rows. Recycled through Engine.postPool.
 type postingScratch struct {
 	// bufs are per-agent views into flat (n*blockLen): agent i's dense
 	// channel ids for the current block. raw is the FillBlockDense
@@ -184,45 +166,36 @@ type postingScratch struct {
 	// met holds triangular met-rows (see Engine.metBase): row i is the
 	// bitset of earlier agents i has already met within this worker's
 	// windows (or never can meet — see metSeed), the word-parallel
-	// mirror of hits[p].s != 0. rowFull[i] marks i's saturated words.
+	// mirror of hits[p].s != 0. rowFull marks each row's saturated
+	// words (see metSeed).
 	met     []uint64
 	rowFull []uint64
-	// pwWide/segWide replace scanGroup's register-resident posting
-	// bitset for the wide kernel: ceil(n/64) posting words with a
-	// 64-words-per-bit nonzero summary (see scanGroupWide). Nil until
-	// the wide kernel runs.
-	pwWide, segWide []uint64
 }
 
-// getPostingScratch returns a pooled scratch seeded for a fresh scan of
-// kind: met rows copied from tmpl and full-word masks from full. The
-// block buffers are refilled before every read, the posting gather is
-// self-cleaning (every slot ends in ResetSlot) and scanGroupWide clears
-// its posting words before returning, so pooled reuse needs no other
+// getPostingScratch returns a pooled scratch seeded for a fresh scan:
+// met rows copied from tmpl and full-word masks from full. The block
+// buffers are refilled before every read, the posting gather is
+// self-cleaning (every slot ends in ResetSlot) and the group bitset
+// lives on scanShardPosting's stack, so pooled reuse needs no other
 // reset.
-func (e *Engine) getPostingScratch(kind scanKind, tmpl, full []uint64) *postingScratch {
+func (e *Engine) getPostingScratch(tmpl, full []uint64) *postingScratch {
 	sc, _ := e.postPool.Get().(*postingScratch)
-	n := len(e.agents)
 	if sc == nil {
+		n := len(e.agents)
 		sc = &postingScratch{
 			flat:    make([]int32, n*blockLen),
 			bufs:    make([][]int32, n),
 			raw:     make([]int, blockLen),
-			post:    schedule.NewPostingIndexWide(e.chIdx.count, n),
+			post:    schedule.NewPostingIndex(e.chIdx.count, n),
 			from:    make([]int32, n),
 			to:      make([]int32, n),
 			ids:     make([]int32, n*blockLen),
 			met:     make([]uint64, len(tmpl)),
-			rowFull: make([]uint64, n),
+			rowFull: make([]uint64, len(full)),
 		}
 		for i := range sc.bufs {
 			sc.bufs[i] = sc.flat[i*blockLen : (i+1)*blockLen]
 		}
-	}
-	if kind == scanInvertedWide && sc.pwWide == nil {
-		wpm := (n + 63) / 64
-		sc.pwWide = make([]uint64, wpm)
-		sc.segWide = make([]uint64, (wpm+63)/64)
 	}
 	copy(sc.met, tmpl)
 	copy(sc.rowFull, full)
@@ -299,38 +272,36 @@ type shardState struct {
 	solo bool
 	// cancel is the run's cooperative stop seam, polled once per
 	// 256-slot block at the top of scanShardPosting's block loop (never
-	// inside the //go:noinline group kernels — see the miscompilation
-	// guards there). Nil on uncancellable runs.
+	// inside the //go:noinline halves scanGroup and recordCands — see
+	// the miscompilation guards there). Nil on uncancellable runs.
 	cancel *Canceler
 }
 
-// scanShardPosting runs one posting kernel over global slots [lo, hi),
+// scanShardPosting runs the posting scan over global slots [lo, hi),
 // recording each pair's first hit within this worker's windows into
 // st.hits and feeding the shared completion and cancellation state.
-// Both kernels share the block fill, the transpose, and the per-slot
-// counting gather; only the per-group detection differs by kind:
-// scanGroup's register-resident bitsets or scanGroupWide's heap bitsets
-// (a routing input, not derived from the fleet here, so tests can
-// force the wide kernel on small fleets). The returned bool
-// reports whether [lo, hi) was scanned to completion (false when
-// st.cancel fired mid-window). A solo worker's early exit also ends
-// the window, and counts as complete: every meetable pair already holds
-// its true first meeting, so the rest of the window cannot change the
-// Result, and the cancellation merge must keep what it recorded.
-func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardState, lo, hi int, kind scanKind) bool {
+// It owns the block fill, the transpose and the per-slot counting
+// gather, and hands each channel group of two or more members to
+// scanGroup. The returned bool reports whether [lo, hi) was scanned to
+// completion (false when st.cancel fired mid-window). A solo worker's
+// early exit also ends the window, and counts as complete: every
+// meetable pair already holds its true first meeting, so the rest of
+// the window cannot change the Result, and the cancellation merge must
+// keep what it recorded.
+func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardState, lo, hi int) bool {
 	n := len(e.agents)
 	ids := psc.ids
 	// Reslicing to exactly n lets the compiler drop the bounds checks on
 	// the per-agent loads in the gather loops.
 	from, to := psc.from[:n], psc.to[:n]
 	post := psc.post
-	// pw is the narrow kernel's posting bitset: it never leaves the
+	// pw holds one summary word's 64 posting words: it never leaves the
 	// stack because groups are processed to completion one at a time,
-	// and scanGroup clears its own nonzero words before returning.
-	var pw [schedule.MaxPostingMembers / 64]uint64
+	// and scanGroup clears its nonzero words after every pass.
+	var pw [64]uint64
 	gcx := groupScanCtx{
 		rowBase: e.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
-		union: e.union, met: psc.met, rowFull: psc.rowFull[:n],
+		union: e.union, met: psc.met, rowFull: psc.rowFull, n: n,
 		hits: st.hits, env: st.env, seen: st.seen,
 		st: st, meetable: st.meetable, solo: st.solo,
 	}
@@ -353,7 +324,7 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 			slotIDs := ids[off*n : off*n+n]
 			// Counting gather: group this slot's arrivals by channel.
 			// Visiting agents in ascending id twice keeps each group in
-			// ascending id order, which every kernel's detection relies on.
+			// ascending id order, which scanGroup's detection relies on.
 			for i := 0; i < n; i++ {
 				if off32 >= from[i] && off32 < to[i] {
 					post.Count(slotIDs[i])
@@ -375,11 +346,8 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 					if len(g) < 2 {
 						continue // a lone listener meets nobody
 					}
-					if kind == scanInverted {
-						scanGroup(&gcx, &pw, g, t, tk, int(c))
-					} else {
-						scanGroupWide(&gcx, psc.pwWide, psc.segWide, g, t, tk, int(c))
-					}
+					gcx.t, gcx.tk, gcx.d, gcx.probed = t, tk, int(c), st.env == nil
+					scanGroup(&gcx, &pw, g)
 				}
 			}
 			post.ResetSlot()
@@ -388,183 +356,117 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 	return complete
 }
 
-// groupScanCtx carries the scan-invariant state one worker's
-// scanGroup calls share. It lives on scanShardPosting's stack, built
-// once per scan rather than once per group; met and rowFull alias the
-// worker's scratch, so scanGroup's updates are visible to later groups.
+// groupScanCtx carries the state one worker's scanGroup and
+// recordCands calls share. It lives on scanShardPosting's stack, built
+// once per scan rather than once per group, with the group fields reset
+// per group; met and rowFull alias the worker's scratch, so each
+// group's updates are visible to later groups.
 type groupScanCtx struct {
 	rowBase  []int
 	mbase    []int32
 	union    []int
 	met      []uint64
 	rowFull  []uint64
+	n        int // fleet size: rowFull's stride per summary word
 	hits     []hit32
 	env      Environment
 	seen     []uint64
 	st       *shardState
 	meetable int64
 	solo     bool
+	// t, tk and d are the group being scanned: slot t, its hit key
+	// tk = t+1 and dense channel d. probed records that the group's
+	// channel was found available at t (always true without an
+	// environment).
+	t      int
+	tk     int32
+	d      int
+	probed bool
 }
 
-// scanGroup intersects one channel group (dense id d, slot t) against
-// the met matrix, recording each newly-met pair's first hit, and
-// leaves pw cleared for the next group. Group members arrive in
-// ascending agent id, so each member only intersects against
-// earlier-id members and the triangular pair index needs no swap. The
-// environment is consulted lazily, at most once per (channel, slot):
-// only when the group first exposes a candidate pair not already met.
+// scanGroup intersects one channel group (slot cx.t, dense channel
+// cx.d) against the met matrix, recording each newly-met pair's first
+// hit, and leaves pw cleared for the next group. Group members arrive
+// in ascending agent id, so each member only intersects against
+// earlier-id members, within its triangular met row, and the pair
+// index needs no swap. The walk takes one pass per summary word s the
+// group spans, in ascending order: the pass's members — those with ids
+// in s's 4,096-agent range, a contiguous run of the group — post
+// themselves into pw and its summary nz, and every member from the run
+// on intersects against the nonzero posting words so far, skipping the
+// row words its rowFull mask marks saturated. A fleet of up to 4,096
+// agents walks every group in one pass. The environment is consulted
+// lazily, at most once per (channel, slot): only when the group first
+// exposes a candidate pair not already met (see recordCands).
 //
 // Kept out of scanShardPosting — and out of its inliner's reach —
-// deliberately: the combined function has repeatedly tripped optimizer
-// wrong-code bugs in this toolchain (wild writes and dropped counter
-// updates that vanish under -N or -race), and the split keeps each
-// half small enough to stay on safe ground. Do not merge it back or
-// grow either side without re-running the proptest soak.
+// deliberately, with the per-pair bookkeeping in its own //go:noinline
+// half (recordCands): combined shapes have repeatedly tripped optimizer
+// wrong-code bugs in this toolchain (wild writes, dropped counter
+// updates, a met-row load through a corrupted base register — failures
+// that vanish under -N or -race), and the split keeps each half small
+// and its walk flat. The bug family was later isolated to the go1.24.0
+// atomic.OrUint64 intrinsic (caught by TestPropContactEngines; see
+// setSeenBit in joint.go). Do not merge the halves or deepen the
+// nesting without re-running the proptest soak.
 //
 //go:noinline
-func scanGroup(cx *groupScanCtx, pw *[schedule.MaxPostingMembers / 64]uint64, g []int32, t int, tk int32, d int) {
-	rowBase := cx.rowBase
+func scanGroup(cx *groupScanCtx, pw *[64]uint64, g []int32) {
 	mbase := cx.mbase
 	met := cx.met
-	rowFull := cx.rowFull
-	hits := cx.hits
-	env := cx.env
-	seen := cx.seen
-	st := cx.st
-	meetable := cx.meetable
-	solo := cx.solo
-	probed := env == nil
-	var nz uint64
-	for _, i32 := range g {
-		i := int(i32)
-		if cm := nz &^ rowFull[i]; cm != 0 {
-			rb := int(mbase[i])
-			blocked := false
-			for s := cm; s != 0; s &= s - 1 {
-				w := bits.TrailingZeros64(s) & 63
-				cand := pw[w] &^ met[rb+w]
-				if cand == 0 {
-					continue
-				}
-				if !probed {
-					probed = true
-					if !env.Available(cx.union[d], t) {
-						blocked = true
-						break
-					}
-				}
-				for cand != 0 {
-					tz := bits.TrailingZeros64(cand)
-					cand &= cand - 1
-					o := w<<6 + tz
-					p := rowBase[o] + i - o - 1
-					hits[p] = hit32{s: tk, ch: int32(d)}
-					met[rb+w] |= 1 << (tz & 63)
-					if met[rb+w] == ^uint64(0) {
-						rowFull[i] |= 1 << (w & 63)
-					}
-					if solo {
-						if seen[p>>6]&(1<<(p&63)) == 0 {
-							seen[p>>6] |= 1 << (p & 63)
-							if st.seenCount.Add(1) == meetable {
-								st.done.Store(true)
-							}
-						}
-					} else if setSeenBit(seen, p) {
-						if st.seenCount.Add(1) == meetable {
-							st.done.Store(true)
-						}
+	n := cx.n
+	for lo := 0; lo < len(g); {
+		s := int(g[lo]) >> 12
+		ws := s << 6
+		full := cx.rowFull[s*n : (s+1)*n]
+		var nz uint64
+		hi := lo // one past the pass's run: where the next pass starts
+	members:
+		for _, i32 := range g[lo:] {
+			i := int(i32)
+			if cm := nz &^ full[i]; cm != 0 {
+				rb := int(mbase[i]) + ws
+				for ; cm != 0; cm &= cm - 1 {
+					w := bits.TrailingZeros64(cm) & 63
+					if cand := pw[w] &^ met[rb+w]; cand != 0 && !recordCands(cx, cand, ws+w, i) {
+						hi = len(g) // channel masked out this slot: nobody in the group meets
+						break members
 					}
 				}
 			}
-			if blocked {
-				break // channel masked out this slot: nobody in the group meets
+			if i>>12 == s {
+				w := (i >> 6) & 63
+				pw[w] |= 1 << (i & 63)
+				nz |= 1 << w
+				hi++
 			}
 		}
-		w := (uint(i32) >> 6) & 63
-		pw[w] |= 1 << (uint(i32) & 63)
-		nz |= 1 << w
-	}
-	for s := nz; s != 0; s &= s - 1 {
-		pw[bits.TrailingZeros64(s)&63] = 0
+		for ; nz != 0; nz &= nz - 1 {
+			pw[bits.TrailingZeros64(nz)&63] = 0
+		}
+		lo = hi
 	}
 }
 
-// scanGroupWide is scanGroup for fleets past schedule.MaxPostingMembers:
-// the posting bitset lives in pw (ceil(members/64) heap words) instead
-// of a register array, with nonzero words tracked by segNZ — one bit
-// per posting word, walked segment by segment. There is no rowFull
-// saturation pruning (a single summary word cannot address rows wider
-// than 64 words); every nonzero posting word is ≤ the member's own
-// word because groups arrive in ascending id, so met-row bounds still
-// hold. Like scanGroup it leaves pw/segNZ cleared for the next group,
-// and it is kept a separate //go:noinline function for the same
-// optimizer-bug caution (see scanGroup). An earlier shape with a third
-// summary level (one register word over segNZ) tripped exactly the
-// wrong-code failure that comment warns about — a met-row load through
-// a corrupted base register, crashing after its bounds check passed —
-// so the walk here is deliberately flat and the hit recording lives in
-// its own //go:noinline half (recordWideCands); do not merge them or
-// deepen the nesting without re-running the proptest soak. The bug
-// family was later isolated to the go1.24.0 atomic.OrUint64 intrinsic,
-// which miscompiled its enclosing scan kernels in optimized builds
-// (caught by TestPropContactEngines; see setSeenBit in joint.go), so
-// both posting kernels route their seen-bitset OR through that helper.
+// recordCands records every candidate bit of posting word w as a first
+// meeting of member i: the hit entry, the met-row bit, and the shared
+// seen/cancellation state; and marks the row word saturated in i's
+// rowFull mask once it fills. It first probes the environment if the
+// group has not been probed yet, and reports false, recording
+// nothing, when the group's channel is masked out this slot. The
+// recording half of scanGroup, split out so the walk stays on the
+// toolchain's safe ground (see the optimizer-bug caution there).
 //
 //go:noinline
-func scanGroupWide(cx *groupScanCtx, pw, segNZ []uint64, g []int32, t int, tk int32, d int) {
-	mbase := cx.mbase
-	met := cx.met
-	env := cx.env
-	probed := env == nil
-	for _, i32 := range g {
-		i := int(i32)
-		rb := int(mbase[i])
-		blocked := false
-		for s := 0; s < len(segNZ); s++ {
-			for ss := segNZ[s]; ss != 0; ss &= ss - 1 {
-				w := s<<6 + bits.TrailingZeros64(ss)
-				cand := pw[w] &^ met[rb+w]
-				if cand == 0 {
-					continue
-				}
-				if !probed {
-					probed = true
-					if !env.Available(cx.union[d], t) {
-						blocked = true
-						break
-					}
-				}
-				recordWideCands(cx, cand, w, i, rb, tk, d)
-			}
-			if blocked {
-				break
-			}
+func recordCands(cx *groupScanCtx, cand uint64, w, i int) bool {
+	if !cx.probed {
+		cx.probed = true
+		if !cx.env.Available(cx.union[cx.d], cx.t) {
+			return false
 		}
-		if blocked {
-			break // channel masked out this slot: nobody in the group meets
-		}
-		w := uint(i32) >> 6
-		pw[w] |= 1 << (uint(i32) & 63)
-		segNZ[w>>6] |= 1 << (w & 63)
 	}
-	for s := 0; s < len(segNZ); s++ {
-		for ss := segNZ[s]; ss != 0; ss &= ss - 1 {
-			pw[s<<6+bits.TrailingZeros64(ss)] = 0
-		}
-		segNZ[s] = 0
-	}
-}
-
-// recordWideCands records every candidate bit of one posting word as a
-// first meeting of member i (posting word w, met-row base rb): the hit
-// entry, the met-row bit, and the shared seen/cancellation state. The
-// same per-pair bookkeeping as scanGroup's innermost loop, split out so
-// scanGroupWide's walk stays on the toolchain's safe ground (see the
-// optimizer-bug caution above).
-//
-//go:noinline
-func recordWideCands(cx *groupScanCtx, cand uint64, w, i, rb int, tk int32, d int) {
+	rb := int(cx.mbase[i])
+	tk, d := cx.tk, cx.d
 	rowBase := cx.rowBase
 	met := cx.met
 	hits := cx.hits
@@ -592,4 +494,8 @@ func recordWideCands(cx *groupScanCtx, cand uint64, w, i, rb int, tk int32, d in
 			}
 		}
 	}
+	if met[rb+w] == ^uint64(0) {
+		cx.rowFull[(w>>6)*cx.n+i] |= 1 << (w & 63)
+	}
+	return true
 }

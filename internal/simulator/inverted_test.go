@@ -10,8 +10,7 @@ import (
 // TestInvertedWordBoundaryFleets pins the posting-word bookkeeping at
 // fleet sizes straddling the 64-agent word boundaries: the last word
 // partially filled, exactly full, and one agent spilling into a fresh
-// word. Each size runs both posting kernels (the register-resident
-// narrow scan and the heap-bitset wide scan) across worker counts and
+// word. Each size runs the posting scan across worker counts and
 // window widths against the pairwise decomposition.
 func TestInvertedWordBoundaryFleets(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -26,13 +25,11 @@ func TestInvertedWordBoundaryFleets(t *testing.T) {
 			want := renderMeetings(pairwiseRun(eng, horizon, env))
 			for _, workers := range []int{1, 3} {
 				for _, window := range []int{blockLen, 4 * blockLen} {
-					for _, kind := range []scanKind{scanInverted, scanInvertedWide} {
-						res := eng.newResult(horizon)
-						eng.runJointSharded(res, horizon, workers, window, env, eng.meetablePairs(horizon), kind, nil)
-						if got := renderMeetings(res); got != want {
-							t.Fatalf("agents=%d env=%v workers=%d window=%d kind=%v diverged:\n got %s\nwant %s",
-								agents, env, workers, window, kind, got, want)
-						}
+					res := eng.newResult(horizon)
+					eng.runJointSharded(res, horizon, workers, window, env, eng.meetablePairs(horizon), nil)
+					if got := renderMeetings(res); got != want {
+						t.Fatalf("agents=%d env=%v workers=%d window=%d diverged:\n got %s\nwant %s",
+							agents, env, workers, window, got, want)
 					}
 				}
 			}
@@ -63,12 +60,11 @@ func TestInvertedScratchReuse(t *testing.T) {
 	}
 }
 
-// TestScanKindGates pins the routing predicate itself: every dense
-// fleet within the posting member cap takes the inverted scan however
-// small, and only empty horizons, horizons whose slot keys overflow
-// the int32 hit encoding, contact-edge (CSR) pair state and dense
-// fleets past the wide scan's memory cap get scanNone (and run
-// pairwise).
+// TestScanKindGates pins the joint entry points' gate itself: every
+// dense fleet takes the posting scan however small, and only empty
+// horizons, horizons whose slot keys overflow the int32 hit encoding,
+// contact-edge (CSR) pair state and dense fleets whose met template
+// passes metTemplateBudget run pairwise.
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, agents := range []int{2, 8, 191} {
@@ -76,14 +72,14 @@ func TestScanKindGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k := eng.scanKindFor(1000); k != scanInverted {
-			t.Fatalf("%d-agent dense fleet must route inverted, got %v", agents, k)
+		if !eng.usesPostingScan(1000) {
+			t.Fatalf("%d-agent dense fleet must take the posting scan", agents)
 		}
-		if k := eng.scanKindFor(math.MaxInt32); k != scanNone {
-			t.Fatalf("int32-overflowing horizon must get scanNone, got %v", k)
+		if eng.usesPostingScan(math.MaxInt32) {
+			t.Fatal("int32-overflowing horizon must run pairwise")
 		}
-		if k := eng.scanKindFor(0); k != scanNone {
-			t.Fatalf("empty horizon must get scanNone, got %v", k)
+		if eng.usesPostingScan(0) {
+			t.Fatal("empty horizon must run pairwise")
 		}
 	}
 	prev := SetSparseStateFloor(0)
@@ -92,13 +88,13 @@ func TestScanKindGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := contact.scanKindFor(1000); k != scanNone {
-		t.Fatalf("CSR contact engine must get scanNone, got %v", k)
+	if contact.usesPostingScan(1000) {
+		t.Fatal("CSR contact engine must run pairwise")
 	}
-	// Past the wide scan's memory cap the met template alone would
-	// exceed invertedWideBudget per worker.
+	// Past the budget the met template alone would exceed
+	// metTemplateBudget per worker.
 	n := 1
-	for metTemplateBytes(n) <= invertedWideBudget {
+	for metTemplateBytes(n) <= metTemplateBudget {
 		n *= 2
 	}
 	s := mustCyclic(t, []int{1})
@@ -110,7 +106,7 @@ func TestScanKindGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := eng.scanKindFor(1000); k != scanNone {
-		t.Fatalf("%d-agent dense fleet past the memory cap must get scanNone, got %v", n, k)
+	if eng.usesPostingScan(1000) {
+		t.Fatalf("%d-agent dense fleet past the met-template budget must run pairwise", n)
 	}
 }

@@ -59,8 +59,9 @@ func jointWindow(horizon, workers int) int {
 // the fleet size, over contiguous time windows executed by a bounded
 // worker pool (workers ≤ 0 means GOMAXPROCS). Results are
 // byte-identical to Run at any worker count; see the package comment
-// above for why the decomposition is exact. Runs no posting kernel
-// takes (see scanKindFor) go to the pairwise decomposition instead.
+// above for why the decomposition is exact. Runs the posting scan does
+// not take (see usesPostingScan) go to the pairwise decomposition
+// instead.
 func (e *Engine) RunJointParallel(horizon, workers int) *Result {
 	return e.RunJointParallelEnv(horizon, workers, nil)
 }
@@ -71,46 +72,23 @@ func (e *Engine) RunJointParallelEnv(horizon, workers int, env Environment) *Res
 	return e.runJointParallelEnvInto(e.newResult(horizon), horizon, workers, env, e.meetablePairs(horizon), nil)
 }
 
-// scanKind selects the posting kernel a joint run uses. Every kernel
-// honors the same hit-array/seen-bitset contracts, so routing is
-// invisible in the Result; see scanKindFor for the gating.
-type scanKind int
-
-const (
-	scanNone         scanKind = iota // no posting kernel takes the run: it goes pairwise
-	scanInverted                     // posting scan, register-resident group bitsets
-	scanInvertedWide                 // posting scan, 64×64-word sharded group bitsets
-)
-
-// route maps a scan kind to its reported Route.
-func (k scanKind) route() Route {
-	switch k {
-	case scanInverted:
-		return RouteInverted
-	case scanInvertedWide:
-		return RouteInvertedWide
-	}
-	return RoutePairwise
-}
-
 // runJointParallelEnvInto is the shared body, writing into the
 // caller-owned result; meetable is the caller's meetablePairs(horizon)
 // count, so routing callers that already counted (RunParallelEnv's
 // routing rule) never scan the pair space twice.
 func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env Environment, meetable int, c *Canceler) *Result {
-	// Every fleet takes a posting scan (even single-worker: the win is
+	// Every fleet takes the posting scan (even single-worker: the win is
 	// algorithmic, not parallel — see inverted.go) except the shapes
-	// scanKindFor rejects, which the pairwise decomposition computes
+	// usesPostingScan rejects, which the pairwise decomposition computes
 	// exactly at any horizon.
-	kind := e.scanKindFor(horizon)
-	if kind == scanNone {
+	if !e.usesPostingScan(horizon) {
 		return e.runPairwiseEnvInto(res, horizon, workers, env, c)
 	}
-	e.setRoute(kind.route())
+	e.setRoute(RouteInverted)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e.runJointSharded(res, horizon, workers, jointWindow(horizon, workers), env, meetable, kind, c)
+	e.runJointSharded(res, horizon, workers, jointWindow(horizon, workers), env, meetable, c)
 	return res
 }
 
@@ -120,8 +98,7 @@ func (e *Engine) runJointParallelEnvInto(res *Result, horizon, workers int, env 
 // through Engine.runPool, so a steady-state re-run allocates nothing.
 type shardRun struct {
 	plan                     *runPlan
-	kind                     scanKind
-	tmpl, full               []uint64 // metSeed's template and full-word summary
+	tmpl, full               []uint64 // metSeed's template and full-word masks
 	horizon, window, windows int
 	// seen is the shared pair-has-a-hit-somewhere bitset driving
 	// ordered-window cancellation; seenCount trips done when the last
@@ -175,10 +152,8 @@ func (e *Engine) getShardRun(workers, windows int) *shardRun {
 // runJointSharded is the sharded scan proper. window must be a positive
 // multiple of blockLen; it and the meetable count are parameters
 // (rather than derived here) so tests can pin partition invariance
-// directly. kind selects the posting kernel a worker runs per window;
-// every kernel honors the identical hit-array and seen-bitset contracts
-// over the engine's pair space, so the merge below is shared.
-func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env Environment, meetableCount int, kind scanKind, c *Canceler) {
+// directly.
+func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env Environment, meetableCount int, c *Canceler) {
 	meetable := int64(meetableCount)
 	if meetable == 0 {
 		return
@@ -186,7 +161,7 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 	windows := (horizon + window - 1) / window
 	workers = min(workers, windows)
 	r := e.getShardRun(workers, windows)
-	r.plan, r.kind, r.horizon, r.window, r.windows = e.planFor(horizon), kind, horizon, window, windows
+	r.plan, r.horizon, r.window, r.windows = e.planFor(horizon), horizon, window, windows
 	r.tmpl, r.full = e.metSeed(horizon)
 	for w := range workers {
 		r.st[w] = shardState{hits: r.hits[w], env: env, seen: r.seen,
@@ -258,7 +233,7 @@ func (e *Engine) runJointSharded(res *Result, horizon, workers, window int, env 
 // cancelled.
 func (e *Engine) scanWindows(r *shardRun, w int) {
 	st := &r.st[w]
-	psc := e.getPostingScratch(r.kind, r.tmpl, r.full)
+	psc := e.getPostingScratch(r.tmpl, r.full)
 	defer e.postPool.Put(psc)
 	for !r.done.Load() && !st.cancel.Canceled() {
 		wi := int(r.nextWin.Add(1)) - 1
@@ -266,7 +241,7 @@ func (e *Engine) scanWindows(r *shardRun, w int) {
 			return
 		}
 		lo := wi * r.window
-		if e.scanShardPosting(r.plan, psc, st, lo, min(lo+r.window, r.horizon), r.kind) {
+		if e.scanShardPosting(r.plan, psc, st, lo, min(lo+r.window, r.horizon)) {
 			r.winOK[wi].Store(true)
 		}
 	}

@@ -58,13 +58,11 @@ func TestJointShardedPartitionInvariance(t *testing.T) {
 		want := renderMeetings(pairwiseRun(eng, horizon, env))
 		for _, workers := range []int{2, 3, 8} {
 			for _, window := range []int{blockLen, 3 * blockLen, 16 * blockLen} {
-				for _, kind := range []scanKind{scanInverted, scanInvertedWide} {
-					res := eng.newResult(horizon)
-					eng.runJointSharded(res, horizon, workers, window, env, eng.meetablePairs(horizon), kind, nil)
-					if got := renderMeetings(res); got != want {
-						t.Fatalf("trial %d workers=%d window=%d kind=%v diverged:\n got %s\nwant %s",
-							trial, workers, window, kind, got, want)
-					}
+				res := eng.newResult(horizon)
+				eng.runJointSharded(res, horizon, workers, window, env, eng.meetablePairs(horizon), nil)
+				if got := renderMeetings(res); got != want {
+					t.Fatalf("trial %d workers=%d window=%d diverged:\n got %s\nwant %s",
+						trial, workers, window, got, want)
 				}
 			}
 		}
@@ -184,7 +182,7 @@ func TestSoloPostingStopsAtEarlyExit(t *testing.T) {
 	check := func(label string, env Environment, c *Canceler) {
 		t.Helper()
 		res := eng.newResult(horizon)
-		eng.runJointSharded(res, horizon, 1, window, env, meetable, scanInverted, c)
+		eng.runJointSharded(res, horizon, 1, window, env, meetable, c)
 		if got := renderMeetings(res); got != renderMeetings(want) {
 			t.Fatalf("%s: %d meetings diverged from the pairwise decomposition's %d", label, res.MetCount(), want.MetCount())
 		}

@@ -2,6 +2,8 @@ package simulator
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -67,9 +69,14 @@ func (ct *ContactTopology) validate(n int) error {
 		return fmt.Errorf("simulator: contact topology covers %d/%d/%d agents, fleet has %d",
 			len(ct.Cell), len(ct.X), len(ct.Y), n)
 	}
-	cells := int32(ct.CellsX * ct.CellsY)
+	// Count in 128 bits: the product of two ints can overflow even int64.
+	hi, cells := bits.Mul64(uint64(ct.CellsX), uint64(ct.CellsY))
+	if hi != 0 || cells > math.MaxInt32 {
+		return fmt.Errorf("simulator: contact grid %dx%d has %.0f cells, past the %d that int32 cell ids address",
+			ct.CellsX, ct.CellsY, float64(ct.CellsX)*float64(ct.CellsY), math.MaxInt32)
+	}
 	for i, c := range ct.Cell {
-		if c < 0 || c >= cells {
+		if c < 0 || uint64(c) >= cells {
 			return fmt.Errorf("simulator: agent %d in cell %d outside grid of %d cells", i, c, cells)
 		}
 	}
@@ -193,10 +200,11 @@ func (ps *pairSpace) forEach(f func(p, i, j int)) {
 // Route identifies which evaluation strategy a run took. The choice is
 // purely about speed and memory — every route computes the identical
 // Result (the proptest oracles pin this) — but silent routing has
-// burned us before (fleets over the posting cap quietly fell off the
-// fast path), so the engine records its last decision for tests,
-// benches, and telemetry to observe. The decision is a pure function of
-// the fleet, the horizon, and the entry point called.
+// burned us before (fleets past a since-removed 4,096-agent posting cap
+// quietly fell off the fast path), so the engine records its last
+// decision for tests, benches, and telemetry to observe. The decision
+// is a pure function of the fleet, the horizon, and the entry point
+// called.
 type Route int32
 
 const (
@@ -204,12 +212,9 @@ const (
 	RouteNone Route = iota
 	// RoutePairwise: independent per-pair scans over the horizon.
 	RoutePairwise
-	// RouteInverted: the posting-list scan with register-resident group
-	// bitsets (fleets within schedule.MaxPostingMembers).
+	// RouteInverted: the time-sharded posting-list scan, at any fleet
+	// size whose met template fits the posting scan's memory budget.
 	RouteInverted
-	// RouteInvertedWide: the posting-list scan with 64×64-word sharded
-	// group bitsets (fleets past schedule.MaxPostingMembers).
-	RouteInvertedWide
 )
 
 // String names the route for test failures and logs.
@@ -221,8 +226,6 @@ func (r Route) String() string {
 		return "pairwise"
 	case RouteInverted:
 		return "inverted"
-	case RouteInvertedWide:
-		return "inverted-wide"
 	}
 	return fmt.Sprintf("route(%d)", int32(r))
 }

@@ -2,7 +2,10 @@ package simulator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -204,26 +207,23 @@ func TestContactRouteObserved(t *testing.T) {
 	}
 }
 
-// TestPostingCapBoundaryRouting is the regression test for the silent
-// 4,096-agent cliff: a fleet exactly at schedule.MaxPostingMembers must
-// route through the register-resident posting scan, and one agent past
-// it must route through the wide scan — not silently fall back to
-// scanNone and the pairwise decomposition — with the meeting set
-// correct on both sides of the boundary.
-func TestPostingCapBoundaryRouting(t *testing.T) {
+// TestPostingSummaryBoundary pins the posting scan across its
+// summary-word boundary (one summary word per 4,096 agents). Identical
+// fleets of exactly 4,096 agents (one summary word) and 4,097 (two)
+// must both route inverted and meet every pair. The bridged fleet is
+// the run whose walk crosses summary words from rows that start
+// saturated: ids 0–63 and 4,096–4,159 share a small channel set while
+// ids 64–4,095 each sit on a private channel, so a high agent's row
+// words 1–63 are seeded full and its live words sit in summary words 0
+// and 1. It must reproduce the pairwise decomposition at one worker
+// and at three, with and without a blocking environment.
+func TestPostingSummaryBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 4k-agent engines")
 	}
 	s := mustCyclic(t, []int{1, 2})
-	for _, tc := range []struct {
-		agents int
-		want   Route
-		kind   scanKind
-	}{
-		{4096, RouteInverted, scanInverted},
-		{4097, RouteInvertedWide, scanInvertedWide},
-	} {
-		fleet := make([]Agent, tc.agents)
+	for _, agents := range []int{4096, 4097} {
+		fleet := make([]Agent, agents)
 		for i := range fleet {
 			fleet[i] = Agent{Name: fmt.Sprintf("a%05d", i), Sched: s}
 		}
@@ -231,17 +231,80 @@ func TestPostingCapBoundaryRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k := eng.scanKindFor(64); k != tc.kind {
-			t.Fatalf("agents=%d scanKindFor = %v, want %v", tc.agents, k, tc.kind)
-		}
 		res := eng.RunJointParallelEnv(64, 2, nil)
-		if r := eng.LastRoute(); r != tc.want {
-			t.Fatalf("agents=%d routed %v, want %v", tc.agents, r, tc.want)
+		if r := eng.LastRoute(); r != RouteInverted {
+			t.Fatalf("agents=%d routed %v, want %v", agents, r, RouteInverted)
 		}
 		// Identical constant schedules: every pair meets at its mutual
 		// wake slot, so the meeting count is the full pair count.
-		if got, want := res.MetCount(), tc.agents*(tc.agents-1)/2; got != want {
-			t.Fatalf("agents=%d met %d pairs, want %d", tc.agents, got, want)
+		if got, want := res.MetCount(), agents*(agents-1)/2; got != want {
+			t.Fatalf("agents=%d met %d pairs, want %d", agents, got, want)
+		}
+	}
+
+	const bridged, horizon = 4160, 1024
+	rng := rand.New(rand.NewSource(71))
+	fleet := make([]Agent, bridged)
+	for i := range fleet {
+		a := Agent{Name: fmt.Sprintf("b%05d", i), Sched: mustCyclic(t, []int{100 + i})}
+		if i < 64 || i >= 4096 {
+			seq := make([]int, 2+rng.Intn(4))
+			for k := range seq {
+				seq[k] = 1 + rng.Intn(4)
+			}
+			a.Sched, a.Wake = mustCyclic(t, seq), rng.Intn(300)
+		}
+		fleet[i] = a
+	}
+	eng, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range []Environment{nil, evenSlotsBlocked{}} {
+		want := pairwiseRun(eng, horizon, env).Meetings()
+		high := 0
+		for _, m := range want {
+			if m.A >= "b04096" && m.B >= "b04096" {
+				high++
+			}
+		}
+		if high == 0 {
+			t.Fatalf("env=%v: fixture has no meeting inside summary word 1", env)
+		}
+		for _, workers := range []int{1, 3} {
+			got := eng.RunJointParallelEnv(horizon, workers, env)
+			if r := eng.LastRoute(); r != RouteInverted {
+				t.Fatalf("bridged env=%v workers=%d routed %v, want %v", env, workers, r, RouteInverted)
+			}
+			if !slices.Equal(got.Meetings(), want) {
+				t.Fatalf("bridged env=%v workers=%d: %d meetings diverged from the pairwise decomposition's %d",
+					env, workers, got.MetCount(), len(want))
+			}
+		}
+	}
+}
+
+// TestContactTopologyCellCount pins the cell-count check: a grid whose
+// cell ids do not fit int32 is rejected with its real cell count, and
+// the count itself cannot overflow, even past int64.
+func TestContactTopologyCellCount(t *testing.T) {
+	s := mustCyclic(t, []int{1})
+	agents := []Agent{{Name: "a", Sched: s}, {Name: "b", Sched: s}}
+	for _, tc := range []struct {
+		x, y int
+		want string
+	}{
+		{50_000, 50_000, "2500000000 cells"},
+		{math.MaxInt, 3, "9223372036854775807x3"},
+	} {
+		ct := &ContactTopology{
+			CellsX: tc.x, CellsY: tc.y,
+			Cell: []int32{0, 189_977_653}, X: []float32{0, 1}, Y: []float32{0, 1},
+			Radius: 1,
+		}
+		_, err := NewEngineContact(agents, ct)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%dx%d grid: err = %v, want a rejection naming %q", tc.x, tc.y, err, tc.want)
 		}
 	}
 }
