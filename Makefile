@@ -45,8 +45,12 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# The pairwise scan's workers share one found array and draw their block
+# rings from a process-wide pool, so its ring and chunk tests also run
+# ten times over under -race.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow' ./internal/simulator
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -216,7 +220,10 @@ serve-chaos:
 # with its committed expected file:
 #   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
 #     contact graph, engine build, the pairwise scan over 167k eligible
-#     in-range pairs, summary), about 15 s and under 1 GiB;
+#     in-range pairs, summary), about 15 s and under 1 GiB, run twice:
+#     at one engine worker, where the pairwise scan is one chunk with
+#     one block ring, and at one worker per CPU, where workers claim
+#     chunks of the pair list;
 #   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
 #     posting scan walks two summary words per group (one per 4,096
 #     agents), about 5 s and 511 MiB.
@@ -225,6 +232,8 @@ serve-chaos:
 network-smoke:
 	@out=$$(mktemp); \
 	$(GO) build -o $$out.rvsim ./cmd/rvsim \
+		&& $$out.rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 -parallel 1 > $$out \
+		&& cmp $$out cmd/rvsim/testdata/network-1m.txt \
 		&& $$out.rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 > $$out \
 		&& cmp $$out cmd/rvsim/testdata/network-1m.txt \
 		&& $$out.rvsim -scenario churn-pu -agents 5000 -n 128 -horizon 4096 -seed 3 > $$out \

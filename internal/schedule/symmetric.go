@@ -94,10 +94,13 @@ func (s *Symmetric) ChannelBlock(dst []int, start int) {
 }
 
 // symmetricBlock stores the block played for inner channel c1:
-// symmetricPattern twice, spelled out so it compiles to direct stores
-// with no per-slot lookup.
+// symmetricPattern twice, spelled out element by element so it
+// compiles to twelve direct stores with no per-slot lookup. Assigning
+// an array literal to *b would build it in a stack temporary and copy
+// it through runtime.duffcopy, a third of the pairwise scan's CPU.
 func symmetricBlock(b *[SymmetricBlockLen]int, c0, c1 int) {
-	*b = [SymmetricBlockLen]int{c0, c1, c0, c0, c1, c1, c0, c1, c0, c0, c1, c1}
+	b[0], b[1], b[2], b[3], b[4], b[5] = c0, c1, c0, c0, c1, c1
+	b[6], b[7], b[8], b[9], b[10], b[11] = c0, c1, c0, c0, c1, c1
 }
 
 // Period implements Schedule.

@@ -63,7 +63,8 @@ type JobSpec struct {
 	// EngineWorkers bounds the engine's per-run worker count. Results
 	// are byte-identical at every value (the engine's decompositions
 	// are exact), so this is purely a resource knob; it defaults to 1
-	// because the job pool itself saturates the cores.
+	// because the job pool itself saturates the cores. A run never
+	// takes more than GOMAXPROCS workers, whatever the spec asks.
 	EngineWorkers int
 	// IncludeMeetings adds the first MaxMeetings meetings (canonical
 	// slot-then-name order) to the result.
@@ -574,7 +575,14 @@ func (m *Manager) runJob(pool *sessionPool, j *Job) {
 		m.sessionsReused.Add(1)
 	}
 	fs.sess.SetCanceler(j.canc)
-	res := fs.sess.RunParallelEnv(sc.Horizon, j.Spec.EngineWorkers, fs.fl.Env)
+	// Every engine worker allocates its own scan scratch (a joint-scan
+	// worker holds a hit array of 8 bytes per pair slot), so a posted
+	// EngineWorkers past the core count could exhaust the daemon's
+	// memory while adding no speed. Results are identical at any worker
+	// count, so the clamp changes no bytes, and the spec (and its job
+	// id) stays as posted.
+	workers := min(j.Spec.EngineWorkers, runtime.GOMAXPROCS(0))
+	res := fs.sess.RunParallelEnv(sc.Horizon, workers, fs.fl.Env)
 	fs.sess.SetCanceler(nil)
 	if j.canc.Canceled() {
 		// Drop the partial run state so the pooled session's next job

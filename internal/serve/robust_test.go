@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"rendezvous/internal/scenario"
 	"rendezvous/internal/simulator"
 )
 
@@ -478,5 +481,59 @@ func TestFleetKey(t *testing.T) {
 	var fleet JobSpec
 	if err := json.Unmarshal([]byte(a.fleetKey()), &fleet); err != nil || fleet.Scenario.Seed != 5 || fleet.Scenario.Horizon != 0 {
 		t.Fatalf("fleet key %q is not the fleet spec's JSON (err %v)", a.fleetKey(), err)
+	}
+}
+
+// TestEngineWorkersClamped pins the engine worker clamp: EngineWorkers
+// is accepted as posted (it is part of the job id), but a run never
+// takes more than GOMAXPROCS engine workers, each of which allocates
+// its own scan scratch. A job asking for a million workers on a
+// 256-agent fleet must allocate no more than a few MiB beyond the same
+// job at GOMAXPROCS workers (unclamped, the joint scan's 256 windows
+// got a worker and a hit array each: about 70 MiB more), and its
+// result bytes must equal the one-worker job's.
+func TestEngineWorkersClamped(t *testing.T) {
+	cache := withIsolatedCache(t)
+	mgr := NewManager(Config{Workers: 1, Cache: cache})
+	t.Cleanup(func() { mgr.Drain(time.Minute) })
+	spec := JobSpec{Alg: "ours", Scenario: scenario.Scenario{
+		N: 128, Agents: 256, K: 4, Seed: 5, Horizon: 1 << 16,
+	}}
+	run := func(workers int) (result []byte, alloc uint64) {
+		t.Helper()
+		s := spec
+		s.EngineWorkers = workers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, created, err := mgr.Submit(s)
+		if err != nil || !created {
+			t.Fatalf("submit(workers=%d): created=%v err=%v", workers, created, err)
+		}
+		j.Wait()
+		runtime.ReadMemStats(&after)
+		status, _, res := j.Snapshot()
+		if status != StatusDone {
+			t.Fatalf("workers=%d: job ended %s", workers, status)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, after.TotalAlloc - before.TotalAlloc
+	}
+	// The one-worker job opens the fleet's session; the others reuse it,
+	// so their allocations are the runs' own. GOMAXPROCS+1 keeps the
+	// second spec distinct from the first when GOMAXPROCS is 1; the
+	// clamp runs it at GOMAXPROCS.
+	want, _ := run(1)
+	_, atCores := run(runtime.GOMAXPROCS(0) + 1)
+	got, atMillion := run(1_000_000)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EngineWorkers=1000000 changed the result:\n got %s\nwant %s", got, want)
+	}
+	const slack = 4 << 20
+	if atMillion > atCores+slack {
+		t.Fatalf("EngineWorkers=1000000 allocated %.1f MiB, the GOMAXPROCS job %.1f MiB: more than %d MiB over",
+			float64(atMillion)/(1<<20), float64(atCores)/(1<<20), slack>>20)
 	}
 }

@@ -5,9 +5,10 @@ import "sync/atomic"
 // Canceler is the cooperative stop seam for a run: fire Cancel from any
 // goroutine and every scan kernel of the run observing it — pairwise
 // and the time-sharded posting scan — stops at its next block-window
-// boundary. The check discipline is exactly one poll per 256-slot block
-// per worker (plus one per window claim), so an uncancelled run pays a
-// handful of atomic loads per scan, nothing per slot.
+// boundary. The check discipline is one poll per 256-slot block per
+// worker — in the pairwise scan, per live pair and window — plus one
+// per window or chunk claim, so an uncancelled run pays a handful of
+// atomic loads per scan, nothing per slot.
 //
 // A cancelled run returns a partial Result: some subset of the true
 // first meetings (every hit it did record is exact — kernels record

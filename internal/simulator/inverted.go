@@ -10,11 +10,11 @@ import (
 
 // Inverted-index meeting engine.
 //
-// The pairwise decomposition walks the pair axis, scanning each pair
-// over the horizon, and an occupancy scan would walk a per-channel
-// agent list for every arrival, checking a per-pair entry for each
-// listed agent — O(candidate pairs) of random access into arrays that
-// grow quadratically with the fleet. This engine is the transpose. For
+// The pairwise decomposition walks the pair axis, comparing each pair's
+// schedule blocks window by window, and an occupancy scan would walk a
+// per-channel agent list for every arrival, checking a per-pair entry
+// for each listed agent — O(candidate pairs) of random access into
+// arrays that grow quadratically with the fleet. This engine is the transpose. For
 // each slot inside a block-aligned window, agents are bucketed into
 // per-dense-channel-id posting lists (schedule.PostingIndex, a two-pass
 // counting gather). Each agent sits on exactly one channel per slot, so

@@ -31,13 +31,16 @@ import (
 // picks the kernel: triangular state lets joint runs take the inverted
 // posting scan (its met rows pre-mark out-of-range pairs), while CSR
 // state has no met rows, so every run on it takes the pairwise scan
-// over the in-range meetable pairs. The threshold trades the
-// triangular state's O(agents²) memory for the posting scan's speed:
-// on 2,048- and 3,000-agent contact fleets (32 channels, K=4, mean
-// contact degree ≈ 60, horizon 8,192, primary users, one engine
-// worker, best of 3 warm runs, 2-vCPU Xeon VM, go1.24.0) the inverted
-// scan on triangular state took 0.24–0.25 s and 0.55–0.57 s, the
-// pairwise scan 0.45–0.47 s and 0.63–0.68 s.
+// over the in-range meetable pairs. The threshold bounds the
+// triangular state's O(agents²) memory; speed no longer argues for
+// keeping fleets below it on the inverted scan. On 2,048- and
+// 3,000-agent contact fleets (`ours`, 32 channels, K=4, seed 7, side
+// 64 with the radius set for a mean contact degree of 60 — 55 and 56
+// measured, after edge effects — horizon 8,192, 8 primary users, one
+// engine worker, best of 3 warm runs, 2-vCPU Xeon VM, go1.24.0) the
+// inverted scan on triangular state took 466 and 890 ms, the
+// window-major pairwise scan on CSR state 95 and 149 ms, and the
+// per-pair scan it replaced 498 and 736 ms.
 
 // ContactTopology places each agent of a fleet on a grid of square
 // cells and bounds rendezvous to pairs within Radius of each other.
