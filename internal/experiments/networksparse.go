@@ -18,9 +18,8 @@ import (
 // (pair state and scanned pairs both O(contact edges)) hold slot
 // throughput roughly flat where the dense engines hit the quadratic
 // wall. Both full-scale rows route pairwise (eligible pairs at seed 1:
-// 2,590 and 10,760): the 1,024-agent row sits below the joint floor,
-// and the 4,096-agent row is a contact fleet with edge-indexed pair
-// state, which always takes the pairwise scan.
+// 2,590 and 10,760): they are contact fleets, whose edge-indexed pair
+// state always takes the pairwise scan.
 //
 // Every fleet is a scenario derived purely from the seed (positions
 // included, stream 505), each (fleet, algorithm) cell is one sweep job,

@@ -179,11 +179,10 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 }
 
 // checkContactEngine is the contact-engine clause of CheckFleetEngines:
-// for gridded scenarios the contact engine must reproduce the
-// brute-force oracle filtered to in-range pairs — exactly those, no
-// others — under both pair-state layouts (dense triangular with topo
-// filter, and contact-edge CSR), through Run and at the
-// partition-inducing worker counts.
+// for gridded scenarios the contact engine, whose contact-edge CSR pair
+// state routes every entry point to the pairwise kernel, must reproduce
+// the brute-force oracle filtered to in-range pairs — exactly those, no
+// others — through Run and at the partition-inducing worker counts.
 func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Environment, want map[[2]string]simulator.Meeting) error {
 	graph, err := c.Sc.ContactGraph()
 	if err != nil {
@@ -204,29 +203,22 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 			filtered[key] = m
 		}
 	}
-	for _, floor := range []int{0, 1 << 30} {
-		prev := simulator.SetSparseStateFloor(floor)
-		ceng, cerr := simulator.NewEngineContact(agents, graph.Topology())
-		simulator.SetSparseStateFloor(prev)
-		if cerr != nil {
-			return fmt.Errorf("contact engine (floor=%d): %w", floor, cerr)
+	ceng, err := simulator.NewEngineContact(agents, graph.Topology())
+	if err != nil {
+		return fmt.Errorf("contact engine: %w", err)
+	}
+	if err := sameMeetings(filtered, ResultMeetings(ceng.RunEnv(c.Sc.Horizon, env))); err != nil {
+		return fmt.Errorf("contact engine vs in-range oracle: %w", err)
+	}
+	for _, workers := range []int{2, 5} {
+		if err := sameMeetings(filtered, ResultMeetings(ceng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+			return fmt.Errorf("contact engine (workers=%d) vs in-range oracle: %w", workers, err)
 		}
-		if err := sameMeetings(filtered, ResultMeetings(ceng.RunEnv(c.Sc.Horizon, env))); err != nil {
-			return fmt.Errorf("contact engine (floor=%d) vs in-range oracle: %w", floor, err)
-		}
-		for _, workers := range []int{2, 5} {
-			if err := sameMeetings(filtered, ResultMeetings(ceng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
-				return fmt.Errorf("contact engine (floor=%d, workers=%d) vs in-range oracle: %w", floor, workers, err)
-			}
-		}
-		// Cancellation under both pair-state layouts: the CSR layout
-		// (floor=0) routes every entry point to the pairwise kernel, the
-		// triangular layout the joint entry point to the inverted
-		// kernel, and both must honor the cancelled-prefix +
-		// clean-re-run contract.
-		if err := checkCancelledRerun(c, ceng, env, filtered); err != nil {
-			return fmt.Errorf("contact engine (floor=%d): %w", floor, err)
-		}
+	}
+	// The pairwise kernel on CSR state must honor the cancelled-prefix +
+	// clean-re-run contract too.
+	if err := checkCancelledRerun(c, ceng, env, filtered); err != nil {
+		return fmt.Errorf("contact engine: %w", err)
 	}
 	return nil
 }
@@ -430,40 +422,30 @@ func CheckScenarioDeterminism(c FleetCase) error {
 // reads eligible pairs off the engine's meetable count and folds the
 // rest over the run's met bitset, must equal both per-pair reference
 // definitions — Summarize (all pairs, name lookups) and
-// SummarizeContact (contact edges) — field for field. Contact fleets
-// are checked under both pair-state layouts, and every fleet through
-// one reused session across two horizons, so the per-horizon meetable
-// cache and the recycled met bitset are on the hook too.
+// SummarizeContact (contact edges) — field for field. Every fleet is
+// checked through one reused session across two horizons, so the
+// per-horizon meetable cache and the recycled met bitset are on the
+// hook too.
 func CheckFleetSummarize(c FleetCase) error {
 	build, err := scenario.BuilderFor(c.Alg, c.Sc.N, c.Sc.Seed)
 	if err != nil {
 		return err
 	}
-	floors := []int{1 << 30}
-	if c.Sc.Grid != (scenario.Grid{}) {
-		floors = append(floors, 0)
+	fl, err := c.Sc.Open(build)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
 	}
-	for _, floor := range floors {
-		prev := simulator.SetSparseStateFloor(floor)
-		fl, err := c.Sc.Open(build)
-		simulator.SetSparseStateFloor(prev)
-		if err != nil {
-			return fmt.Errorf("open (floor=%d): %w", floor, err)
+	defer fl.Close()
+	sess := fl.Eng.Session()
+	for _, h := range []int{c.Sc.Horizon / 2, c.Sc.Horizon} {
+		res := sess.RunParallelEnv(h, 2, fl.Env)
+		want := scenario.Summarize(res, fl.Agents, h)
+		if got := scenario.SummarizeContact(res, fl.Agents, h, fl.Graph()); got != want {
+			return fmt.Errorf("horizon=%d: SummarizeContact %+v, Summarize %+v", h, got, want)
 		}
-		sess := fl.Eng.Session()
-		for _, h := range []int{c.Sc.Horizon / 2, c.Sc.Horizon} {
-			res := sess.RunParallelEnv(h, 2, fl.Env)
-			want := scenario.Summarize(res, fl.Agents, h)
-			if got := scenario.SummarizeContact(res, fl.Agents, h, fl.Graph()); got != want {
-				fl.Close()
-				return fmt.Errorf("floor=%d horizon=%d: SummarizeContact %+v, Summarize %+v", floor, h, got, want)
-			}
-			if got := fl.Summarize(res, h); got != want {
-				fl.Close()
-				return fmt.Errorf("floor=%d horizon=%d: Fleet.Summarize %+v, Summarize %+v", floor, h, got, want)
-			}
+		if got := fl.Summarize(res, h); got != want {
+			return fmt.Errorf("horizon=%d: Fleet.Summarize %+v, Summarize %+v", h, got, want)
 		}
-		fl.Close()
 	}
 	return nil
 }

@@ -66,10 +66,9 @@ func TestPropEngineVsOracle(t *testing.T) {
 }
 
 // TestPropContactEngines: same oracle check with a contact grid on
-// every draw, so the contact-engine clause (both pair-state layouts —
-// pairwise on CSR state, inverted on triangular state — against the
-// in-range-filtered reference) runs each iteration rather than on the
-// generator's one-in-three grid draw.
+// every draw, so the contact-engine clause (the pairwise scan on
+// contact-edge CSR state against the in-range-filtered reference) runs
+// each iteration rather than on the generator's one-in-three grid draw.
 func TestPropContactEngines(t *testing.T) {
 	ForAll(t, Iters(30), GenContactFleetCase, CheckFleetEngines, ShrinkFleet)
 }

@@ -19,10 +19,10 @@
 //     unchanged; ChannelBlock ≡ Channel; Compile(s) ≡ s;
 //   - engine equivalence: the integer-indexed block engine, the
 //     pairwise parallel decomposition, and the time-sharded inverted
-//     joint scan, on topology-free and contact engines under both
-//     pair-state layouts, must agree with an independent brute-force
-//     oracle engine under random scenarios with churn, primary users,
-//     and jammers;
+//     joint scan on topology-free engines, and the pairwise scan on
+//     contact engines' contact-edge pair state, must agree with an
+//     independent brute-force oracle engine under random scenarios with
+//     churn, primary users, and jammers;
 //   - paper bounds: every generated symmetric/asymmetric pair must
 //     rendezvous within its theoretical TTR upper bound;
 //   - scenario determinism: fleet derivation and environment decisions

@@ -223,7 +223,7 @@ func TestScenarioRunGrid(t *testing.T) {
 // contact fleet, built and simulated end to end inside the CI smoke
 // budget — feasible at all only because every pair structure involved
 // (graph, engine state, summary) is O(contact edges), never
-// O(agents²). It also pins the routing: a fleet this size has
+// O(agents²). It also pins the routing: a contact fleet has
 // contact-edge pair state, so it must take the pairwise scan over its
 // in-range meetable pairs, not any posting path.
 func TestSparseFleet100k(t *testing.T) {

@@ -242,11 +242,11 @@ func agentName(a int) string { return fmt.Sprintf("a%d", a) }
 
 // Run builds the fleet and runs it with the given worker count (≤ 0
 // means GOMAXPROCS). The engine picks its decomposition by fleet size —
-// the pairwise scan for small fleets, the time-sharded joint scan once
-// the meetable-pair count crosses over, and the pairwise scan over the
-// in-range pairs for a gridded fleet with contact-edge pair state —
-// and all of them are exact, so the result is byte-identical at any
-// worker count either way.
+// the pairwise scan for small fleets and the time-sharded joint scan
+// once the meetable-pair count crosses over — except that a gridded
+// fleet, whose pair state is indexed by contact edge, always takes the
+// pairwise scan over its in-range pairs. All of them are exact, so the
+// result is byte-identical at any worker count either way.
 func (sc Scenario) Run(build Builder, workers int) (*simulator.Result, []simulator.Agent, error) {
 	fl, err := sc.Open(build)
 	if err != nil {

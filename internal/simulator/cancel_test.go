@@ -24,9 +24,9 @@ type cancelKernel struct {
 // cancelKernels covers every kernel a public entry point reaches on a
 // small fleet: pairwise (on triangular and on contact-edge CSR pair
 // state) and inverted (through the sharded driver at one worker and at
-// several). Each build picks a fleet (and, for the CSR row, a
-// pair-state layout) that routes to its kernel, so the tests pin the
-// cancellation seam per kernel.
+// several). Each build picks a fleet (for the CSR row, a contact
+// fleet) that routes to its kernel, so the tests pin the cancellation
+// seam per kernel.
 func cancelKernels() []cancelKernel {
 	parallel := func(s *Session, horizon, workers int) *Result {
 		return s.RunParallelEnv(horizon, workers, nil)
@@ -36,10 +36,14 @@ func cancelKernels() []cancelKernel {
 	}
 	jointOracle := func(e *Engine, horizon int) *Result { return e.RunJointParallelEnv(horizon, 1, nil) }
 	pairwiseOracle := func(e *Engine, horizon int) *Result { return pairwiseRun(e, horizon, nil) }
-	// tri is the csr row's oracle engine: the same contact fleet with
-	// triangular pair state, on which the joint entry point runs the
-	// inverted scan. Its build sets it before any oracle call.
-	var tri *Engine
+	// dense and topo are the csr row's oracle: the same fleet without a
+	// topology, on which the joint entry point runs the inverted scan,
+	// filtered to the pairs topo puts in range. The row's build sets
+	// them before any oracle call.
+	var (
+		dense *Engine
+		topo  *ContactTopology
+	)
 	return []cancelKernel{
 		{
 			name:    "pairwise",
@@ -92,16 +96,18 @@ func cancelKernels() []cancelKernel {
 			workers: []int{2, 5},
 			build: func(t *testing.T, rng *rand.Rand) *Engine {
 				// CSR pair state routes even the joint entry point to the
-				// pairwise kernel; the oracle runs the same fleet with
-				// triangular state.
+				// pairwise kernel.
 				const n = 24
 				fleet := jointTestFleet(t, rng, n)
+				topo = randomTopology(rng, n, 3, 3, 1.0)
 				var eng *Engine
-				eng, tri = contactLayouts(t, fleet, randomTopology(rng, n, 3, 3, 1.0))
+				eng, dense = contactTwins(t, fleet, topo)
 				return eng
 			},
-			run:    joint,
-			oracle: func(_ *Engine, horizon int) *Result { return tri.RunJointParallelEnv(horizon, 1, nil) },
+			run: joint,
+			oracle: func(_ *Engine, horizon int) *Result {
+				return inRangeOnly(dense.RunJointParallelEnv(horizon, 1, nil), topo)
+			},
 		},
 	}
 }

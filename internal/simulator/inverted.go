@@ -72,8 +72,8 @@ func metTemplateBytes(n int) int64 {
 // horizon takes the posting scan over the triangular pair state. Four
 // shapes run pairwise instead: empty horizons, horizons whose slot keys
 // overflow the int32 hit encoding, dense fleets whose met template
-// passes metTemplateBudget, and contact fleets with contact-edge CSR
-// pair state, which has no met rows to seed.
+// passes metTemplateBudget, and every fleet with a contact topology,
+// whose contact-edge CSR pair state has no met rows to seed.
 func (e *Engine) usesPostingScan(horizon int) bool {
 	return horizon > 0 && horizon < math.MaxInt32 && e.ps.rowBase != nil &&
 		metTemplateBytes(len(e.agents)) <= metTemplateBudget
@@ -107,8 +107,9 @@ func (e *Engine) metBase() []int32 {
 // Row i pre-marks the diagonal, the bits of its last word above i (ids
 // that can never appear in a posting list i detects against), and
 // every earlier agent j with which i can never meet within the horizon
-// (disjoint hop sets, non-overlapping activity windows, or out of
-// contact range). Seeding unmeetable pairs is what lets saturation
+// (disjoint hop sets or non-overlapping activity windows). Only
+// topology-free engines take the posting scan, so no pair is out of
+// contact range. Seeding unmeetable pairs is what lets saturation
 // pruning converge: a row word goes all-ones exactly when every agent
 // in it has either met i or never can, at which point no arrival ever
 // looks at it again. rowFull holds one word per agent per summary word
@@ -300,7 +301,7 @@ func (e *Engine) scanShardPosting(plan *runPlan, psc *postingScratch, st *shardS
 	// and scanGroup clears its nonzero words after every pass.
 	var pw [64]uint64
 	gcx := groupScanCtx{
-		rowBase: e.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
+		rowBase: e.ps.rowBase, mbase: e.metRowBase[:n], // built by metSeed before workers spawn
 		union: e.union, met: psc.met, rowFull: psc.rowFull, n: n,
 		hits: st.hits, env: st.env, seen: st.seen,
 		st: st, meetable: st.meetable, solo: st.solo,

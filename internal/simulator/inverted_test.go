@@ -63,8 +63,8 @@ func TestInvertedScratchReuse(t *testing.T) {
 // TestScanKindGates pins the joint entry points' gate itself: every
 // dense fleet takes the posting scan however small, and only empty
 // horizons, horizons whose slot keys overflow the int32 hit encoding,
-// contact-edge (CSR) pair state and dense fleets whose met template
-// passes metTemplateBudget run pairwise.
+// contact fleets (contact-edge CSR pair state, at any size) and dense
+// fleets whose met template passes metTemplateBudget run pairwise.
 func TestScanKindGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, agents := range []int{2, 8, 191} {
@@ -82,14 +82,12 @@ func TestScanKindGates(t *testing.T) {
 			t.Fatal("empty horizon must run pairwise")
 		}
 	}
-	prev := SetSparseStateFloor(0)
 	contact, err := NewEngineContact(jointTestFleet(t, rng, 12), randomTopology(rng, 12, 3, 3, 1.0))
-	SetSparseStateFloor(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if contact.usesPostingScan(1000) {
-		t.Fatal("CSR contact engine must run pairwise")
+		t.Fatal("a 12-agent contact engine must run pairwise")
 	}
 	// Past the budget the met template alone would exceed
 	// metTemplateBudget per worker.

@@ -67,9 +67,7 @@ func TestPairwiseRingAndChunks(t *testing.T) {
 		topo.X[i], topo.Y[i] = float32(x), float32(y)
 		topo.Cell[i] = int32(int(y)*4 + int(x))
 	}
-	prev := simulator.SetSparseStateFloor(0)
 	csr, err := simulator.NewEngineContact(contact, topo)
-	simulator.SetSparseStateFloor(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

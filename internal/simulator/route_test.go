@@ -30,17 +30,20 @@ func routeFleet(t *testing.T, rng *rand.Rand, groups ...int) []Agent {
 // engine and must take the same route every time, with a Result
 // identical to both decompositions'. From jointPairFloor meetable
 // pairs up, a dense fleet of any size takes the inverted posting scan
-// at any worker count, while a contact fleet with edge-indexed (CSR)
-// pair state stays pairwise however many pairs it has; below the floor
-// every fleet is pairwise. "In-band" fixtures hold 4,096–16,384
-// meetable pairs and "above-band" ones more.
+// at any worker count, while a contact fleet, whose pair state is
+// indexed by contact edge, stays pairwise however small it is and
+// however many pairs it has; below the floor every fleet is pairwise.
+// "In-band" fixtures hold 4,096–16,384 meetable pairs and "above-band"
+// ones more.
 func TestRouteIsPure(t *testing.T) {
 	const horizon = 512
 	cases := []struct {
 		name string
 		// build returns the routed engine and the engine whose joint
 		// entry point gives the second decomposition: the same engine
-		// for a dense fleet, the triangular-state twin for a CSR one.
+		// for a dense fleet, the same fleet without a topology for a
+		// contact one. One cell with a radius past its diagonal keeps
+		// every contact pair in range, so the two results must agree.
 		build   func(t *testing.T, rng *rand.Rand) (eng, joint *Engine)
 		joint   bool  // the meetable count must reach jointPairFloor
 		workers []int // RunParallelEnv worker counts; nil means {2}
@@ -91,27 +94,27 @@ func TestRouteIsPure(t *testing.T) {
 			want:  RouteInverted,
 		},
 		{
-			// Edge-indexed pair state is what makes a fleet a contact
-			// fleet to the router; one cell keeps every pair in range.
+			// A topology is what makes a fleet a contact fleet to the
+			// router, at any fleet size.
 			name: "contact-in-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				const n = 120 // 7,140 meetable pairs
-				return contactLayouts(t, routeFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
+				return contactTwins(t, routeFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
 			},
 			joint: true,
 			want:  RoutePairwise,
 		},
 		{
-			// However many meetable pairs a CSR fleet has, it stays
+			// However many meetable pairs a contact fleet has, it stays
 			// pairwise at one worker and at two.
 			name: "contact-above-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
 				const n = 200
-				csr, tri := contactLayouts(t, sharedChannelFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
-				if m := csr.meetablePairs(horizon); m != n*(n-1)/2 {
+				eng, dense := contactTwins(t, sharedChannelFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
+				if m := eng.meetablePairs(horizon); m != n*(n-1)/2 {
 					t.Fatalf("%d meetable pairs, want all %d", m, n*(n-1)/2)
 				}
-				return csr, tri
+				return eng, dense
 			},
 			joint:   true,
 			workers: []int{1, 2},

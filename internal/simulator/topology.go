@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Contact topology: the spatial side of network scale.
@@ -25,22 +25,15 @@ import (
 // cell-major internally: each cell's agents occupy one contiguous id
 // range, so a 3×3 neighborhood is three contiguous id ranges (one per
 // cell row) and the forward-edge build walks exactly those. Pair state
-// is indexed by contact-edge id (CSR over forward neighbors) from a
-// size threshold up and by the classic triangular layout below it.
-// Both layouts produce byte-identical Results, but the layout also
-// picks the kernel: triangular state lets joint runs take the inverted
-// posting scan (its met rows pre-mark out-of-range pairs), while CSR
-// state has no met rows, so every run on it takes the pairwise scan
-// over the in-range meetable pairs. The threshold bounds the
-// triangular state's O(agents²) memory; speed no longer argues for
-// keeping fleets below it on the inverted scan. On 2,048- and
-// 3,000-agent contact fleets (`ours`, 32 channels, K=4, seed 7, side
-// 64 with the radius set for a mean contact degree of 60 — 55 and 56
-// measured, after edge effects — horizon 8,192, 8 primary users, one
-// engine worker, best of 3 warm runs, 2-vCPU Xeon VM, go1.24.0) the
-// inverted scan on triangular state took 466 and 890 ms, the
-// window-major pairwise scan on CSR state 95 and 149 ms, and the
-// per-pair scan it replaced 498 and 736 ms.
+// is indexed by contact-edge id (CSR over forward neighbors) at every
+// fleet size. It has no met rows for the posting scan to seed, so
+// every run on a contact engine takes the pairwise scan over the
+// in-range meetable pairs. Small contact fleets get no triangular
+// layout for the inverted scan either, because it loses there too:
+// `rvsim -scenario sparse -n 128 -horizon 8192 -parallel 1` on 2,048,
+// 3,000 and 4,000 agents (seeds 3 and 5, one run each, 2-vCPU Xeon VM,
+// go1.24.0) took 0.66–1.34 s on triangular state with the inverted scan
+// and 0.04–0.11 s on edge state, with identical reports.
 
 // ContactTopology places each agent of a fleet on a grid of square
 // cells and bounds rendezvous to pairs within Radius of each other.
@@ -86,101 +79,48 @@ func (ct *ContactTopology) validate(n int) error {
 	return nil
 }
 
-// sparseStateFloor is the fleet size at which a contact engine switches
-// its pair state from the dense triangular layout to contact-edge CSR.
-// Below it the triangular arrays are small enough to afford, and joint
-// runs on them can take the inverted scan; from it they would grow
-// O(agents²) while the edge state stays O(contact edges), and runs go
-// pairwise. Both layouts produce byte-identical Results; atomic only
-// so tests can force either layout.
-var sparseStateFloor atomic.Int64
-
-const defaultSparseStateFloor = 4096
-
-func init() { sparseStateFloor.Store(defaultSparseStateFloor) }
-
-// SetSparseStateFloor repoints the fleet size from which contact
-// engines use edge-indexed pair state, returning the previous floor.
-// It exists for equivalence tests, which check the pairwise scan on
-// CSR state against the inverted scan on triangular state; the layout
-// is a memory/performance choice that never changes a Result.
-func SetSparseStateFloor(agents int) (previous int) {
-	return int(sparseStateFloor.Swap(int64(agents)))
+// pairSpace maps unordered agent pairs (i < j, engine ids) to dense
+// pair-state slots. Without a contact topology it is the classic
+// triangular index over all pairs; with one it admits only contact
+// edges and indexes them by forward-edge id. Slot order is
+// lexicographic in (i, j) in both, which the sharded merge and the
+// pairwise scan's block ring rely on.
+type pairSpace struct {
+	n     int
+	slots int
+	// rowBase holds the triangular row offsets, nil under a contact
+	// topology. There fwdBase and fwdAdj are the forward-edge CSR: edge
+	// e of agent i, fwdBase[i] ≤ e < fwdBase[i+1], is pair
+	// (i, fwdAdj[e]) with state slot e, neighbors ascending in each row.
+	rowBase []int
+	fwdBase []int32
+	fwdAdj  []int32
 }
 
-// topoState is the engine-resident contact structure, in engine
-// (cell-major) agent order: a CSR of each cell's agents plus a CSR of
-// each agent's forward (higher-id) in-range neighbors. The forward
-// lists double as the CSR pair-state index: edge e of agent i is
-// pair (i, fwdAdj[e]) with state slot e.
-type topoState struct {
-	cellsX, cellsY int
-	radius2        float64
-	cellOf         []int32 // engine id -> cell
-	cellStart      []int32 // cell -> first engine id (ids are cell-contiguous), len cells+1
-	x, y           []float32
-	fwdBase        []int32 // engine id -> first forward-edge index, len n+1
-	fwdAdj         []int32 // forward neighbor ids, ascending within each row
-}
-
-// edges returns the number of in-range pairs.
-func (t *topoState) edges() int { return len(t.fwdAdj) }
-
-// inRange2 is the exact radius test on engine ids.
-func (t *topoState) inRange2(i, j int) bool {
-	dx := float64(t.x[i] - t.x[j])
-	dy := float64(t.y[i] - t.y[j])
-	return dx*dx+dy*dy <= t.radius2
-}
-
-// edgeOf returns the forward-edge index of pair (i < j), or -1 when
-// the pair is out of contact range.
-func (t *topoState) edgeOf(i, j int) int {
-	row := t.fwdAdj[t.fwdBase[i]:t.fwdBase[i+1]]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < int32(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// triangularSpace is the pair space of a topology-free fleet of n
+// agents.
+func triangularSpace(n int) *pairSpace {
+	rowBase := make([]int, n)
+	for i := 1; i < n; i++ {
+		rowBase[i] = rowBase[i-1] + n - i
 	}
-	if lo < len(row) && row[lo] == int32(j) {
-		return int(t.fwdBase[i]) + lo
+	return &pairSpace{n: n, slots: n * (n - 1) / 2, rowBase: rowBase}
+}
+
+// index returns the state slot of pair (i < j), or -1 when the pair
+// is not a contact edge (out of range).
+func (ps *pairSpace) index(i, j int) int {
+	if ps.rowBase != nil {
+		return ps.rowBase[i] + j - i - 1
+	}
+	if k, ok := slices.BinarySearch(ps.fwdAdj[ps.fwdBase[i]:ps.fwdBase[i+1]], int32(j)); ok {
+		return int(ps.fwdBase[i]) + k
 	}
 	return -1
 }
 
-// pairSpace maps unordered agent pairs (i < j, engine ids) to dense
-// pair-state slots. The dense layout is the classic triangular index
-// over all pairs; the sparse layout admits only contact edges and
-// indexes them by forward-edge id. Slot order is lexicographic in
-// (i, j) under both layouts, which the sharded merge relies on.
-type pairSpace struct {
-	n     int
-	slots int
-	// rowBase selects the dense layout; nil means sparse. topo is set
-	// whenever a contact topology applies — with rowBase it filters
-	// out-of-range pairs to -1 while keeping triangular slots, without
-	// it the forward-edge CSR is the slot index itself.
-	rowBase []int
-	topo    *topoState
-}
-
-// index returns the state slot of pair (i < j), or -1 when the pair
-// cannot rendezvous under the contact topology (out of range).
-func (ps *pairSpace) index(i, j int) int {
-	if ps.rowBase != nil {
-		if ps.topo != nil && !ps.topo.inRange2(i, j) {
-			return -1
-		}
-		return ps.rowBase[i] + j - i - 1
-	}
-	return ps.topo.edgeOf(i, j)
-}
-
-// forEach visits every pair slot in slot order (lexicographic (i, j)).
+// forEach visits every pair slot in slot order (lexicographic (i, j)):
+// all pairs without a contact topology, the contact edges with one.
 func (ps *pairSpace) forEach(f func(p, i, j int)) {
 	if ps.rowBase != nil {
 		p := 0
@@ -192,10 +132,9 @@ func (ps *pairSpace) forEach(f func(p, i, j int)) {
 		}
 		return
 	}
-	t := ps.topo
 	for i := 0; i < ps.n; i++ {
-		for e := t.fwdBase[i]; e < t.fwdBase[i+1]; e++ {
-			f(int(e), i, int(t.fwdAdj[e]))
+		for e := ps.fwdBase[i]; e < ps.fwdBase[i+1]; e++ {
+			f(int(e), i, int(ps.fwdAdj[e]))
 		}
 	}
 }
@@ -243,24 +182,15 @@ func (e *Engine) setRoute(r Route) { e.lastRoute.Store(int32(r)) }
 // Edges returns the number of in-range contact pairs, or the full pair
 // count n(n−1)/2 for a topology-free engine — the denominator of the
 // candidate-reduction measurements.
-func (e *Engine) Edges() int {
-	if e.topo != nil {
-		return e.topo.edges()
-	}
-	n := len(e.agents)
-	return n * (n - 1) / 2
-}
+func (e *Engine) Edges() int { return e.ps.slots }
 
 // NewEngineContact is NewEngine under a contact topology: only pairs
 // within topo.Radius of each other can rendezvous, whatever channels
 // they hop. Agents are reordered cell-major internally (the Result API
-// is name-keyed, so callers never observe the permutation). Pair state
-// is triangular below SetSparseStateFloor (4,096 agents by default) and
-// contact-edge CSR from it, and the layout picks the kernel: joint runs
-// on triangular state take the inverted posting scan (RouteInverted),
-// while every run on CSR state takes the pairwise scan (RoutePairwise)
-// over the in-range meetable pairs, with pair state O(contact edges).
-// CSR state is for fleets whose triangular state would not fit.
+// is name-keyed, so callers never observe the permutation), and pair
+// state is indexed by contact edge (CSR), O(contact edges) at every
+// fleet size. Every run on the engine, from either entry point, takes
+// the pairwise scan (RoutePairwise) over the in-range meetable pairs.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	if topo == nil {
 		return NewEngine(agents)
@@ -279,74 +209,51 @@ func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	for to, from := range order {
 		perm[to] = agents[from]
 	}
-	e, err := NewEngine(perm)
+	e, err := newEngine(perm)
 	if err != nil {
 		return nil, err
 	}
-	n := len(agents)
-	cells := topo.CellsX * topo.CellsY
-	t := &topoState{
-		cellsX:    topo.CellsX,
-		cellsY:    topo.CellsY,
-		radius2:   topo.Radius * topo.Radius,
-		cellOf:    make([]int32, n),
-		cellStart: make([]int32, cells+1),
-		x:         make([]float32, n),
-		y:         make([]float32, n),
-	}
-	for to, from := range order {
-		t.cellOf[to] = topo.Cell[from]
-		t.x[to] = topo.X[from]
-		t.y[to] = topo.Y[from]
-	}
-	// Cell CSR: ids are cell-sorted, so each cell is one contiguous run.
-	for _, c := range t.cellOf {
-		t.cellStart[c+1]++
-	}
-	for c := 0; c < cells; c++ {
-		t.cellStart[c+1] += t.cellStart[c]
-	}
-	t.buildForwardEdges()
-	e.topo = t
-	if int64(n) >= sparseStateFloor.Load() {
-		e.ps = &pairSpace{n: n, slots: t.edges(), topo: t}
-	} else {
-		e.ps.topo = t // triangular slots, but out-of-range pairs filtered
-	}
+	e.ps = contactSpace(topo, order)
 	return e, nil
 }
 
-// buildForwardEdges materializes each agent's forward (higher-id)
-// in-range neighbors by scanning the 3×3 cell neighborhood: three
-// contiguous id rows, thanks to the cell-major renumbering.
-func (t *topoState) buildForwardEdges() {
-	n := len(t.cellOf)
-	t.fwdBase = make([]int32, n+1)
+// contactSpace builds a contact fleet's pair space: each agent's
+// forward (higher-id) in-range neighbors, found by scanning its 3×3
+// cell neighborhood. Engine id i is input agent order[i], so a
+// neighborhood is three contiguous id rows. The rows ascend in cell
+// order and each holds ascending ids, so every agent's neighbor list
+// comes out sorted.
+func contactSpace(topo *ContactTopology, order []int) *pairSpace {
+	n := len(order)
+	cellsX, cellsY := topo.CellsX, topo.CellsY
+	// Cell CSR: ids are cell-sorted, so each cell is one contiguous run.
+	cellStart := make([]int32, cellsX*cellsY+1)
+	for _, c := range topo.Cell {
+		cellStart[c+1]++
+	}
+	for c := 1; c < len(cellStart); c++ {
+		cellStart[c] += cellStart[c-1]
+	}
+	radius2 := topo.Radius * topo.Radius
+	fwdBase := make([]int32, n+1)
 	var adj []int32
-	for i := 0; i < n; i++ {
-		t.fwdBase[i] = int32(len(adj))
-		c := int(t.cellOf[i])
-		cx, cy := c%t.cellsX, c/t.cellsX
-		for dy := -1; dy <= 1; dy++ {
-			yy := cy + dy
-			if yy < 0 || yy >= t.cellsY {
-				continue
-			}
-			xLo, xHi := max(cx-1, 0), min(cx+1, t.cellsX-1)
-			lo := t.cellStart[yy*t.cellsX+xLo]
-			hi := t.cellStart[yy*t.cellsX+xHi+1]
-			for j := lo; j < hi; j++ {
-				if int(j) > i && t.inRange2(i, int(j)) {
+	for i, from := range order {
+		fwdBase[i] = int32(len(adj))
+		c := int(topo.Cell[from])
+		cx, cy := c%cellsX, c/cellsX
+		x, y := topo.X[from], topo.Y[from]
+		xLo, xHi := max(cx-1, 0), min(cx+1, cellsX-1)
+		for yy := max(cy-1, 0); yy <= min(cy+1, cellsY-1); yy++ {
+			hi := cellStart[yy*cellsX+xHi+1]
+			for j := max(cellStart[yy*cellsX+xLo], int32(i+1)); j < hi; j++ {
+				dx := float64(x - topo.X[order[j]])
+				dy := float64(y - topo.Y[order[j]])
+				if dx*dx+dy*dy <= radius2 {
 					adj = append(adj, j)
 				}
 			}
 		}
-		// Rows are visited in ascending cell order and cells hold
-		// ascending ids, so each row's ids are ascending — but rows
-		// interleave, so the full list still needs one sort.
-		row := adj[t.fwdBase[i]:]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
 	}
-	t.fwdBase[n] = int32(len(adj))
-	t.fwdAdj = adj
+	fwdBase[n] = int32(len(adj))
+	return &pairSpace{n: n, slots: len(adj), fwdBase: fwdBase, fwdAdj: adj}
 }

@@ -27,32 +27,43 @@ func randomTopology(rng *rand.Rand, n, cellsX, cellsY int, radius float64) *Cont
 	return ct
 }
 
-// contactLayouts builds fleet under topo with each pair-state layout:
-// contact-edge CSR, on which every run takes the pairwise scan, and
-// triangular, on which the joint entry point takes the inverted scan —
-// so each engine is the other's independent oracle.
-func contactLayouts(t *testing.T, fleet []Agent, topo *ContactTopology) (csr, tri *Engine) {
-	t.Helper()
-	prev := SetSparseStateFloor(0)
-	defer SetSparseStateFloor(prev)
-	csr, err := NewEngineContact(fleet, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetSparseStateFloor(1 << 30)
-	if tri, err = NewEngineContact(fleet, topo); err != nil {
-		t.Fatal(err)
-	}
-	return csr, tri
-}
-
-// inRangeByName reports whether the topology places two input indices
+// inRange reports whether the topology places two input indices
 // within contact range, recomputed from the raw positions so tests do
 // not trust the engine's own geometry.
 func inRange(ct *ContactTopology, i, j int) bool {
 	dx := float64(ct.X[i]) - float64(ct.X[j])
 	dy := float64(ct.Y[i]) - float64(ct.Y[j])
 	return dx*dx+dy*dy <= ct.Radius*ct.Radius
+}
+
+// contactTwins builds fleet under topo and without a topology.
+func contactTwins(t *testing.T, fleet []Agent, topo *ContactTopology) (contact, dense *Engine) {
+	t.Helper()
+	contact, err := NewEngineContact(fleet, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense, err = NewEngine(fleet); err != nil {
+		t.Fatal(err)
+	}
+	return contact, dense
+}
+
+// inRangeOnly is the contact engine's oracle: full, a result of the
+// same fleet on a topology-free engine, with the meetings of pairs
+// that ct puts out of range (by the raw positions) dropped. A
+// topology-free engine keeps the input order, so its pair slots name
+// input indices directly.
+func inRangeOnly(full *Result, ct *ContactTopology) *Result {
+	res := *full
+	res.met = slices.Clone(full.met)
+	full.ps.forEach(func(p, i, j int) {
+		if res.isMet(p) && !inRange(ct, i, j) {
+			res.met[p>>6] &^= 1 << (p & 63)
+			res.metCount--
+		}
+	})
+	return &res
 }
 
 func TestContactTopologyValidate(t *testing.T) {
@@ -117,61 +128,46 @@ func TestEngineEdges(t *testing.T) {
 }
 
 // TestContactEngineMatchesFilteredDense is the contact engine's
-// defining equivalence: against the all-pairs pairwise decomposition on
-// the same fleet, a contact engine reports exactly the dense meetings of
-// in-range pairs and nothing for out-of-range pairs — under both pair
-// state layouts (triangular and contact-edge CSR), at several worker
-// counts, with and without a hostile environment.
+// defining equivalence: against the same fleet on a topology-free
+// engine, whose joint entry point runs the inverted scan, a contact
+// engine (pairwise, on contact-edge CSR state) reports exactly the
+// dense meetings of in-range pairs and nothing for out-of-range pairs —
+// at several worker counts, with and without a hostile environment.
 func TestContactEngineMatchesFilteredDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 3; trial++ {
 		n := 30 + rng.Intn(20)
 		fleet := jointTestFleet(t, rng, n)
 		ct := randomTopology(rng, n, 5, 4, 0.8+rng.Float64()*0.2)
-		dense, err := NewEngine(fleet)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, dense := contactTwins(t, fleet, ct)
 		horizon := 900 + rng.Intn(1200)
 		var env Environment
 		if trial%2 == 1 {
 			env = evenSlotsBlocked{}
 		}
-		denseRes := pairwiseRun(dense, horizon, env)
-		var first string
-		for _, floor := range []int{0, 1 << 30} { // CSR and triangular pair state
-			prev := SetSparseStateFloor(floor)
-			eng, err := NewEngineContact(fleet, ct)
-			SetSparseStateFloor(prev)
-			if err != nil {
-				t.Fatal(err)
+		denseRes := dense.RunJointParallelEnv(horizon, 1, env)
+		if r := dense.LastRoute(); r != RouteInverted {
+			t.Fatalf("trial %d: topology-free joint run routed %v, want inverted", trial, r)
+		}
+		for _, workers := range []int{1, 2, 5} {
+			res := eng.RunJointParallelEnv(horizon, workers, env)
+			if r := eng.LastRoute(); r != RoutePairwise {
+				t.Fatalf("trial %d workers=%d: contact joint run routed %v, want pairwise", trial, workers, r)
 			}
-			for _, workers := range []int{1, 2, 5} {
-				res := eng.RunJointParallelEnv(horizon, workers, env)
-				// Both layouts, every worker count: one rendering.
-				if got := renderMeetings(res); first == "" {
-					first = got
-				} else if got != first {
-					t.Fatalf("trial %d floor=%d workers=%d diverged across layouts:\n got %s\nwant %s",
-						trial, floor, workers, got, first)
-				}
-				// And that rendering is the dense result filtered to
-				// in-range pairs.
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						a, b := fleet[i].Name, fleet[j].Name
-						dm, dok := denseRes.Meeting(a, b)
-						cm, cok := res.Meeting(a, b)
-						if !inRange(ct, i, j) {
-							if cok {
-								t.Fatalf("trial %d: out-of-range pair %s-%s met at %d", trial, a, b, cm.Slot)
-							}
-							continue
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					a, b := fleet[i].Name, fleet[j].Name
+					dm, dok := denseRes.Meeting(a, b)
+					cm, cok := res.Meeting(a, b)
+					if !inRange(ct, i, j) {
+						if cok {
+							t.Fatalf("trial %d: out-of-range pair %s-%s met at %d", trial, a, b, cm.Slot)
 						}
-						if dok != cok || (dok && dm != cm) {
-							t.Fatalf("trial %d: in-range pair %s-%s dense=(%v,%v) contact=(%v,%v)",
-								trial, a, b, dm, dok, cm, cok)
-						}
+						continue
+					}
+					if dok != cok || (dok && dm != cm) {
+						t.Fatalf("trial %d workers=%d: in-range pair %s-%s dense=(%v,%v) contact=(%v,%v)",
+							trial, workers, a, b, dm, dok, cm, cok)
 					}
 				}
 			}
@@ -180,17 +176,15 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 }
 
 // TestContactRouteObserved pins the routing observability: a contact
-// engine with CSR pair state reports RoutePairwise even from the joint
-// entry point, since no posting kernel takes CSR state, and RunEnv
+// engine reports RoutePairwise even from the joint entry point, since
+// no posting kernel takes its contact-edge CSR state, and RunEnv
 // reports the router's choice — pairwise, for a fleet this far below
 // jointPairFloor.
 func TestContactRouteObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	fleet := jointTestFleet(t, rng, 24)
 	ct := randomTopology(rng, 24, 4, 3, 1)
-	prev := SetSparseStateFloor(0)
 	eng, err := NewEngineContact(fleet, ct)
-	SetSparseStateFloor(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +193,7 @@ func TestContactRouteObserved(t *testing.T) {
 	}
 	eng.RunJointParallelEnv(800, 2, nil)
 	if r := eng.LastRoute(); r != RoutePairwise {
-		t.Fatalf("joint run on CSR contact engine routed %v, want pairwise", r)
+		t.Fatalf("joint run on a contact engine routed %v, want pairwise", r)
 	}
 	eng.RunEnv(800, nil)
 	if r := eng.LastRoute(); r != RoutePairwise {
@@ -310,47 +304,47 @@ func TestContactTopologyCellCount(t *testing.T) {
 }
 
 // TestContactPairSpaceIndex exercises the pair-space index/forEach
-// contract directly on both layouts: forEach visits slots in ascending
-// order, index agrees with forEach, and out-of-range pairs index to -1.
+// contract directly on a contact engine: forEach visits exactly the
+// in-range pairs (by the raw positions) in ascending slot order, index
+// agrees with forEach, and out-of-range pairs index to -1.
 func TestContactPairSpaceIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	fleet := jointTestFleet(t, rng, 32)
 	ct := randomTopology(rng, 32, 4, 4, 0.9)
-	for _, floor := range []int{0, 1 << 30} {
-		prev := SetSparseStateFloor(floor)
-		eng, err := NewEngineContact(fleet, ct)
-		SetSparseStateFloor(prev)
-		if err != nil {
-			t.Fatal(err)
+	eng, err := NewEngineContact(fleet, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make(map[string]int, len(fleet))
+	for i, a := range fleet {
+		input[a.Name] = i
+	}
+	// inRangeIDs is the raw-position range test on engine ids, which
+	// are cell-major, not input order.
+	inRangeIDs := func(i, j int) bool { return inRange(ct, input[eng.names[i]], input[eng.names[j]]) }
+	ps := eng.ps
+	last, slots := -1, 0
+	ps.forEach(func(p, i, j int) {
+		if p <= last {
+			t.Fatalf("forEach out of order: %d after %d", p, last)
 		}
-		ps := eng.ps
-		last := -1
-		slots := 0
-		ps.forEach(func(p, i, j int) {
-			if p <= last {
-				t.Fatalf("floor=%d forEach out of order: %d after %d", floor, p, last)
-			}
-			last = p
-			slots++
-			// The triangular layout keeps slots for out-of-range pairs
-			// (index filters them to -1); in-range pairs must agree.
-			if got := ps.index(i, j); eng.topo.inRange2(i, j) && got != p {
-				t.Fatalf("floor=%d index(%d,%d) = %d, forEach slot %d", floor, i, j, got, p)
-			}
-		})
-		if floor == 0 {
-			if slots != ps.slots || slots != eng.Edges() {
-				t.Fatalf("CSR layout visited %d slots, ps.slots=%d edges=%d", slots, ps.slots, eng.Edges())
-			}
+		last = p
+		slots++
+		if !inRangeIDs(i, j) {
+			t.Fatalf("forEach visited out-of-range pair (%d,%d) at slot %d", i, j, p)
 		}
-		// Out-of-range pairs (engine ids) must index to -1 under both
-		// layouts.
-		for i := 0; i < 32; i++ {
-			for j := i + 1; j < 32; j++ {
-				if !eng.topo.inRange2(i, j) {
-					if p := ps.index(i, j); p != -1 {
-						t.Fatalf("floor=%d out-of-range pair (%d,%d) indexed to %d", floor, i, j, p)
-					}
+		if got := ps.index(i, j); got != p {
+			t.Fatalf("index(%d,%d) = %d, forEach slot %d", i, j, got, p)
+		}
+	})
+	if slots != ps.slots || slots != eng.Edges() {
+		t.Fatalf("forEach visited %d slots, ps.slots=%d edges=%d", slots, ps.slots, eng.Edges())
+	}
+	for i := 0; i < 32; i++ {
+		for j := i + 1; j < 32; j++ {
+			if !inRangeIDs(i, j) {
+				if p := ps.index(i, j); p != -1 {
+					t.Fatalf("out-of-range pair (%d,%d) indexed to %d", i, j, p)
 				}
 			}
 		}
@@ -358,7 +352,9 @@ func TestContactPairSpaceIndex(t *testing.T) {
 }
 
 // TestMeetablePairsContact checks the O(edges) meetable counting walk
-// against the quadratic loop's answer on the same engine.
+// against a quadratic recount over the input fleet, with contact range
+// from the raw positions: pairMeetable does not test range, so the
+// walk must visit in-range pairs only.
 func TestMeetablePairsContact(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	fleet := jointTestFleet(t, rng, 36)
@@ -368,13 +364,22 @@ func TestMeetablePairsContact(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 1500
-	want := 0
+	want, outside := 0, 0
 	for i := 0; i < 36; i++ {
 		for j := i + 1; j < 36; j++ {
-			if eng.pairMeetable(i, j, horizon) {
+			if !Coexist(fleet[i], fleet[j], horizon) ||
+				!SetsIntersect(allChannels(fleet[i].Sched), allChannels(fleet[j].Sched)) {
+				continue
+			}
+			if inRange(ct, i, j) {
 				want++
+			} else {
+				outside++
 			}
 		}
+	}
+	if outside == 0 {
+		t.Fatal("fixture: no meetable pair is out of range")
 	}
 	if got := eng.meetablePairs(horizon); got != want {
 		t.Fatalf("meetablePairs = %d, quadratic recount = %d", got, want)

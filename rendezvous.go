@@ -178,11 +178,10 @@ func NewEngine(agents []Agent) (*Engine, error) {
 }
 
 // NewEngineContact is NewEngine under a contact topology: only pairs
-// within the contact radius can rendezvous. Fleets below 4,096 agents
-// keep triangular pair state and their joint scans take the inverted
-// posting scan; from 4,096 agents pair state scales with contact edges
-// instead of agents², and every run takes the pairwise scan over the
-// in-range meetable pairs. A nil topology is plain NewEngine.
+// within the contact radius can rendezvous. Pair state scales with
+// contact edges instead of agents² at every fleet size, and every run
+// takes the pairwise scan over the in-range meetable pairs. A nil
+// topology is plain NewEngine.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	return simulator.NewEngineContact(agents, topo)
 }
