@@ -216,17 +216,19 @@ serve-chaos:
 		./internal/serve ./internal/simulator
 	$(GO) test -race -count=1 -run 'TestServeChaosDrain' ./cmd/rvserve
 
-# Network-scale smoke, two fleets end to end, each report byte-compared
-# with its committed expected file:
+# Network-scale smoke, two fleets end to end, each run at one engine
+# worker and at one worker per CPU, each report byte-compared with its
+# committed expected file:
 #   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
 #     contact graph, engine build, the pairwise scan over 167k eligible
-#     in-range pairs, summary), about 15 s and under 1 GiB, run twice:
-#     at one engine worker, where the pairwise scan is one chunk with
-#     one block ring, and at one worker per CPU, where workers claim
-#     chunks of the pair list;
+#     in-range pairs, summary), about 10 s and 803 MiB per run; at one
+#     worker the pairwise scan is one chunk with one block ring; at
+#     several, workers claim chunks of the pair list;
 #   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
 #     posting scan walks two summary words per group (one per 4,096
-#     agents), about 5 s and 511 MiB.
+#     agents), about 3 s and 403–510 MiB per run; at one worker it is
+#     the posting driver's solo path, which rvserve's one-worker jobs
+#     take above the router's floor.
 # Timings are for a 2-vCPU host; the nightly workflow runs it, `make ci`
 # does not.
 network-smoke:
@@ -236,6 +238,8 @@ network-smoke:
 		&& cmp $$out cmd/rvsim/testdata/network-1m.txt \
 		&& $$out.rvsim -scenario sparse -agents 1000000 -n 128 -horizon 512 -seed 3 > $$out \
 		&& cmp $$out cmd/rvsim/testdata/network-1m.txt \
+		&& $$out.rvsim -scenario churn-pu -agents 5000 -n 128 -horizon 4096 -seed 3 -parallel 1 > $$out \
+		&& cmp $$out cmd/rvsim/testdata/network-5k-dense.txt \
 		&& $$out.rvsim -scenario churn-pu -agents 5000 -n 128 -horizon 4096 -seed 3 > $$out \
 		&& cmp $$out cmd/rvsim/testdata/network-5k-dense.txt; \
 	status=$$?; rm -f $$out $$out.rvsim; exit $$status

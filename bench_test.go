@@ -196,10 +196,12 @@ func BenchmarkEngineRunParallelWorkers(b *testing.B) {
 // 40-channel universe — the acceptance benchmark for the sharded path.
 // The "serial" row is RunEnv, the router at one worker; its name
 // predates the removal of the serial occupancy scan and is kept so the
-// row lines up with the committed trajectory. Primary users occupy 8
-// channels full-time, so some meetable pairs never meet and every run
-// scans the full horizon: stable per-iteration work with no early-exit
-// noise. Results are byte-identical at every worker count; only
+// row lines up with the committed trajectory. The fleet's 17,992
+// meetable pairs sit below the router's floor, so that row times the
+// pairwise scan, while the workers=N rows call RunJointParallelEnv and
+// time the posting scan. Primary users occupy 8 channels full-time, so
+// some meetable pairs never meet and every run scans the full horizon:
+// stable per-iteration work with no early-exit noise. Results are byte-identical at every worker count; only
 // wall-clock may differ. On a single-core host the curve is flat; on
 // ≥8 cores workers=8 should run ≥3× the one-worker row.
 func BenchmarkEngineJointWorkers(b *testing.B) {
@@ -349,7 +351,11 @@ func BenchmarkEngineSparse(b *testing.B) {
 //
 // All three produce byte-identical results (budget independence); only
 // the amortized build cost differs, which is exactly the gap this
-// benchmark pins for the trajectory gate.
+// benchmark pins for the trajectory gate. Each run is RunEnv, the
+// router at one worker. The fleet's 12,923 meetable pairs sit below
+// the router's floor, so every run takes the pairwise scan, which
+// reads schedules only: on this fleet it borrows no table (hits/op is
+// 0), and the three shapes differ by the engine build alone.
 func BenchmarkSessionReuse(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 128, Agents: 256, K: 4, Seed: 7, Horizon: 1 << 13,

@@ -253,19 +253,17 @@ func runScenario(out io.Writer, preset, alg string, n, agents, horizon, parallel
 	if err != nil {
 		return err
 	}
-	res, fleet, err := sc.Run(build, parallel)
+	fl, err := sc.Open(build)
 	if err != nil {
 		return err
 	}
-	// The contact-graph summary walks only the in-range edges; at
-	// network scale the all-pairs Summarize loop would dominate the run.
-	graph, err := sc.ContactGraph()
-	if err != nil {
-		return err
-	}
-	cov := rendezvous.SummarizeContact(res, fleet, horizon, graph)
+	defer fl.Close()
+	res := fl.Eng.RunParallelEnv(horizon, parallel, fl.Env)
+	// Summarize folds the run's pair state, and Graph reuses the
+	// positions Open derived.
+	cov := fl.Summarize(res, horizon)
 	fmt.Fprintf(out, "%s  algorithm=%s\n\n", sc, alg)
-	if graph != nil {
+	if graph := fl.Graph(); graph != nil {
 		pairs := agents * (agents - 1) / 2
 		fmt.Fprintf(out, "contact edges     %d of %d pairs (%.0fx candidate reduction)\n",
 			graph.Edges(), pairs, float64(pairs)/float64(max(1, graph.Edges())))

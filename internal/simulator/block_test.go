@@ -3,6 +3,7 @@ package simulator
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rendezvous/internal/baselines"
@@ -70,10 +71,12 @@ func perSlotTTR(a, b schedule.Schedule, wakeA, wakeB, horizon int) (ttr int, ok 
 	return 0, false
 }
 
+// renderMeetings prints r's meetings in order, one builder for the
+// whole result: the route tests render fleets with 30k+ meetings.
 func renderMeetings(r *Result) string {
-	out := ""
+	var sb strings.Builder
 	for _, m := range r.Meetings() {
-		out += fmt.Sprintf("%s-%s@%d ch%d ttr%d; ", m.A, m.B, m.Slot, m.Channel, m.TTR)
+		fmt.Fprintf(&sb, "%s-%s@%d ch%d ttr%d; ", m.A, m.B, m.Slot, m.Channel, m.TTR)
 	}
-	return out
+	return sb.String()
 }

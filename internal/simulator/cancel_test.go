@@ -181,10 +181,10 @@ func TestCancelMidRun(t *testing.T) {
 
 // TestCancelSerialRun covers cancellation of Session.RunEnv, which takes
 // the router at one worker: on a small fleet it runs the pairwise scan,
-// on one above jointPairFloor the posting driver's solo path. Both
-// poll at the same block cadence; a cancelled run records only true
-// first meetings, and a Reset + re-run on the same session reproduces
-// the other decomposition's result.
+// on a dense one above jointPairFloor (32,768 meetable pairs) the
+// posting driver's solo path. Both poll at the same block cadence; a
+// cancelled run records only true first meetings, and a Reset + re-run
+// on the same session reproduces the other decomposition's result.
 func TestCancelSerialRun(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -200,7 +200,7 @@ func TestCancelSerialRun(t *testing.T) {
 		},
 		{
 			name:   "joint",
-			fleet:  func(t *testing.T, rng *rand.Rand) []Agent { return routeFleet(t, rng, 100, 100) },
+			fleet:  func(t *testing.T, rng *rand.Rand) []Agent { return routeFleet(t, rng, 200, 200) }, // 39,800 meetable pairs
 			route:  RouteInverted,
 			oracle: func(e *Engine, horizon int) *Result { return pairwiseRun(e, horizon, nil) },
 		},

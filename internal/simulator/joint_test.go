@@ -241,7 +241,7 @@ func TestConcurrentRunsOnOneEngine(t *testing.T) {
 // performance choice, never a semantic one).
 func TestRunParallelJointCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const agents = 240 // ~28k pairs, well past jointPairFloor even after disjoint-set pruning
+	const agents = 320 // 51,040 pairs, 40,554 meetable: past jointPairFloor after disjoint-set pruning
 	fleet := make([]Agent, agents)
 	for i := range fleet {
 		seq := []int{1 + rng.Intn(6), 1 + rng.Intn(6), 1 + rng.Intn(6)}

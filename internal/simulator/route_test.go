@@ -9,9 +9,12 @@ import (
 )
 
 // routeFleet builds agents whose every pair within a group is meetable
-// (channels from the group's own four, simultaneous wakes) and whose
-// pairs across groups never are (disjoint channel ranges), so the
-// meetable count is exactly Σ size(size−1)/2 over the groups.
+// and whose pairs across groups never are (disjoint channel ranges), so
+// the meetable count is exactly Σ size(size−1)/2 over the groups. Each
+// agent cycles over three channels drawn from its group's four, one of
+// them the group's base channel lo at a random position, and every
+// agent wakes at slot 0: in-group pairs whose cycles align on a shared
+// channel meet within three slots, and the rest never meet.
 func routeFleet(t *testing.T, rng *rand.Rand, groups ...int) []Agent {
 	t.Helper()
 	var fleet []Agent
@@ -19,6 +22,7 @@ func routeFleet(t *testing.T, rng *rand.Rand, groups ...int) []Agent {
 		for range size {
 			lo := 1 + 10*g
 			seq := []int{lo + rng.Intn(4), lo + rng.Intn(4), lo + rng.Intn(4)}
+			seq[rng.Intn(len(seq))] = lo
 			fleet = append(fleet, Agent{Name: fmt.Sprintf("r%04d", len(fleet)), Sched: mustCyclic(t, seq)})
 		}
 	}
@@ -33,8 +37,9 @@ func routeFleet(t *testing.T, rng *rand.Rand, groups ...int) []Agent {
 // at any worker count, while a contact fleet, whose pair state is
 // indexed by contact edge, stays pairwise however small it is and
 // however many pairs it has; below the floor every fleet is pairwise.
-// "In-band" fixtures hold 4,096–16,384 meetable pairs and "above-band"
-// ones more.
+// "In-band" fixtures hold 4,096–32,767 meetable pairs, mid-size fleets
+// whose cold runs the pairwise scan finishes first (see
+// jointPairFloor), and "above-band" ones more.
 func TestRouteIsPure(t *testing.T) {
 	const horizon = 512
 	cases := []struct {
@@ -44,110 +49,110 @@ func TestRouteIsPure(t *testing.T) {
 		// for a dense fleet, the same fleet without a topology for a
 		// contact one. One cell with a radius past its diagonal keeps
 		// every contact pair in range, so the two results must agree.
-		build   func(t *testing.T, rng *rand.Rand) (eng, joint *Engine)
-		joint   bool  // the meetable count must reach jointPairFloor
-		workers []int // RunParallelEnv worker counts; nil means {2}
-		want    Route
+		build    func(t *testing.T, rng *rand.Rand) (eng, joint *Engine)
+		meetable int   // the fleet's exact meetable count at horizon
+		joint    bool  // the meetable count must reach jointPairFloor
+		workers  []int // RunParallelEnv worker counts; nil means {2}
+		want     Route
 	}{
 		{
-			// A small dense fleet in the band routes to the inverted
-			// scan from its first run on.
+			// A small dense fleet in the band runs pairwise at one
+			// worker and at two.
 			name: "dense-small-in-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				eng, err := NewEngine(routeFleet(t, rng, 128)) // 7,225 meetable pairs
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng, eng
+				return denseTwin(t, routeFleet(t, rng, 128))
 			},
-			joint: true,
-			want:  RouteInverted,
+			meetable: 128 * 127 / 2,
+			workers:  []int{1, 2},
+			want:     RoutePairwise,
 		},
 		{
 			// A small dense fleet above the band takes the inverted scan
 			// at one worker and at two.
 			name: "dense-small-above-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				eng, err := NewEngine(sharedChannelFleet(t, rng, 190))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m := eng.meetablePairs(horizon); m != 190*189/2 {
-					t.Fatalf("%d meetable pairs, want all %d", m, 190*189/2)
-				}
-				return eng, eng
+				return denseTwin(t, sharedChannelFleet(t, rng, 257))
 			},
-			joint:   true,
-			workers: []int{1, 2},
-			want:    RouteInverted,
+			meetable: 257 * 256 / 2,
+			joint:    true,
+			workers:  []int{1, 2},
+			want:     RouteInverted,
 		},
 		{
 			name: "dense-in-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				eng, err := NewEngine(routeFleet(t, rng, 100, 100)) // 9,900 meetable pairs, 200 agents
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng, eng
+				return denseTwin(t, routeFleet(t, rng, 100, 100))
 			},
-			joint: true,
-			want:  RouteInverted,
+			meetable: 2 * (100 * 99 / 2),
+			want:     RoutePairwise,
+		},
+		{
+			name: "dense-shared-in-band",
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
+				return denseTwin(t, sharedChannelFleet(t, rng, 190))
+			},
+			meetable: 190 * 189 / 2,
+			workers:  []int{1, 2},
+			want:     RoutePairwise,
+		},
+		{
+			name: "dense-large-in-band",
+			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
+				return denseTwin(t, routeFleet(t, rng, 200))
+			},
+			meetable: 200 * 199 / 2,
+			want:     RoutePairwise,
 		},
 		{
 			// A topology is what makes a fleet a contact fleet to the
 			// router, at any fleet size.
 			name: "contact-in-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				const n = 120 // 7,140 meetable pairs
+				const n = 120
 				return contactTwins(t, routeFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
 			},
-			joint: true,
-			want:  RoutePairwise,
+			meetable: 120 * 119 / 2,
+			want:     RoutePairwise,
 		},
 		{
 			// However many meetable pairs a contact fleet has, it stays
 			// pairwise at one worker and at two.
 			name: "contact-above-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				const n = 200
-				eng, dense := contactTwins(t, sharedChannelFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
-				if m := eng.meetablePairs(horizon); m != n*(n-1)/2 {
-					t.Fatalf("%d meetable pairs, want all %d", m, n*(n-1)/2)
-				}
-				return eng, dense
+				const n = 257
+				return contactTwins(t, sharedChannelFleet(t, rng, n), randomTopology(rng, n, 1, 1, 1.5))
 			},
-			joint:   true,
-			workers: []int{1, 2},
-			want:    RoutePairwise,
+			meetable: 257 * 256 / 2,
+			joint:    true,
+			workers:  []int{1, 2},
+			want:     RoutePairwise,
 		},
 		{
 			name: "small",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				eng, err := NewEngine(routeFleet(t, rng, 24))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng, eng
+				return denseTwin(t, routeFleet(t, rng, 24))
 			},
-			want: RoutePairwise,
+			meetable: 24 * 23 / 2,
+			want:     RoutePairwise,
 		},
 		{
 			name: "above-band",
 			build: func(t *testing.T, rng *rand.Rand) (*Engine, *Engine) {
-				eng, err := NewEngine(routeFleet(t, rng, 200)) // 19,900 meetable pairs
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng, eng
+				return denseTwin(t, routeFleet(t, rng, 200, 200))
 			},
-			joint: true,
-			want:  RouteInverted,
+			meetable: 2 * (200 * 199 / 2),
+			joint:    true,
+			want:     RouteInverted,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, jointEng := tc.build(t, rand.New(rand.NewSource(113)))
-			if m := eng.meetablePairs(horizon); (m >= jointPairFloor) != tc.joint {
+			m := eng.meetablePairs(horizon)
+			if m != tc.meetable {
+				t.Fatalf("%d meetable pairs, want %d", m, tc.meetable)
+			}
+			if (m >= jointPairFloor) != tc.joint {
 				t.Fatalf("%d meetable pairs: at or above jointPairFloor (%d) must be %v", m, jointPairFloor, tc.joint)
 			}
 			// Both decompositions must agree, so every routed run below is
@@ -177,6 +182,17 @@ func TestRouteIsPure(t *testing.T) {
 	}
 }
 
+// denseTwin builds a dense engine over fleet; it is its own joint
+// twin, since its joint entry point runs the posting scan.
+func denseTwin(t *testing.T, fleet []Agent) (*Engine, *Engine) {
+	t.Helper()
+	eng, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, eng
+}
+
 // sharedChannelFleet builds n agents whose cycles all include channel
 // 1, so every pair is meetable.
 func sharedChannelFleet(t *testing.T, rng *rand.Rand, n int) []Agent {
@@ -190,26 +206,33 @@ func sharedChannelFleet(t *testing.T, rng *rand.Rand, n int) []Agent {
 }
 
 // TestJointChoiceBandEdges pins the joint band's one edge,
-// jointPairFloor, on observed routes: 91 agents sharing channel 1 give
-// 4,095 meetable pairs and run pairwise, and one more agent whose set
-// overlaps exactly one of theirs gives 4,096 and runs the inverted
-// scan, at one worker and at two. Each fleet's Result must equal the
-// other decomposition's.
+// jointPairFloor, on observed routes: 256 agents sharing channel 1 give
+// 32,640 meetable pairs, and one more agent whose cycle meets 127 of
+// them gives 32,767 and runs pairwise, while one whose cycle meets 128
+// gives 32,768 and runs the inverted scan, at one worker and at two.
+// Each fleet's Result must equal the other decomposition's.
 func TestJointChoiceBandEdges(t *testing.T) {
 	const horizon = 512
 	var fleet []Agent
-	for i := range 91 {
-		fleet = append(fleet, Agent{Name: fmt.Sprintf("f%02d", i), Sched: mustCyclic(t, []int{1, 100 + i})})
+	for i := range 256 {
+		fleet = append(fleet, Agent{Name: fmt.Sprintf("f%03d", i), Sched: mustCyclic(t, []int{1, 100 + i})})
 	}
-	// Channel 100 is f00's alone: the extra agent meets f00 at slot 1.
-	extra := Agent{Name: "g", Sched: mustCyclic(t, []int{100})}
+	// Channel 100+i is f_i's alone, so an extra agent cycling over
+	// channels 100 … 100+k−1 makes exactly k more meetable pairs.
+	withExtra := func(k int) []Agent {
+		seq := make([]int, k)
+		for c := range seq {
+			seq[c] = 100 + c
+		}
+		return append(slices.Clone(fleet), Agent{Name: "g", Sched: mustCyclic(t, seq)})
+	}
 	for _, tc := range []struct {
 		fleet    []Agent
 		meetable int
 		want     Route
 	}{
-		{fleet, jointPairFloor - 1, RoutePairwise},
-		{append(slices.Clone(fleet), extra), jointPairFloor, RouteInverted},
+		{withExtra(127), jointPairFloor - 1, RoutePairwise},
+		{withExtra(128), jointPairFloor, RouteInverted},
 	} {
 		eng, err := NewEngine(tc.fleet)
 		if err != nil {
