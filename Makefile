@@ -184,7 +184,7 @@ cover:
 # cmd/rvsim testdata/golden) after an intentional output change; review
 # the diff like any other code change.
 golden:
-	$(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim -update -count=1
+	$(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim ./internal/serve -update -count=1
 
 # Worst-case cache thrash: rerun the golden-report and examples smoke
 # suites with the shared table cache budgeted to a single byte, so every
@@ -226,7 +226,7 @@ serve-chaos:
 #     several, workers claim chunks of the pair list;
 #   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
 #     posting scan walks two summary words per group (one per 4,096
-#     agents), about 3 s and 403–510 MiB per run; at one worker it is
+#     agents), about 2–2.5 s and 396–503 MiB per run; at one worker it is
 #     the posting driver's solo path, which rvserve's one-worker jobs
 #     take above the router's floor.
 # Timings are for a 2-vCPU host; the nightly workflow runs it, `make ci`

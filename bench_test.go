@@ -244,6 +244,13 @@ func BenchmarkEngineJointWorkers(b *testing.B) {
 // better) for the trajectory gate. The "inverted" sub-benchmark name
 // is kept so the row lines up with the committed trajectory, whose
 // "sharded" row measured the occupancy scan this one replaced.
+//
+// The "horizons" row replays a warm rvserve session of the job
+// benchmark's net1k-warm workload: one Session re-runs the fleet at
+// horizons 4,096 and then 8,192 per iteration, at one worker, through
+// the router (which takes it to the posting scan). Both horizons lie
+// past the fleet's last wake, so the row times how much of a horizon
+// switch the engine rebuilds; it reports slots/sec over both runs.
 func BenchmarkEngineInverted(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 128, Agents: 1024, K: 4, Seed: 7, Horizon: 1 << 14,
@@ -268,6 +275,14 @@ func BenchmarkEngineInverted(b *testing.B) {
 			sink += eng.RunJointParallelEnv(sc.Horizon, 0, env).MetCount()
 		}
 		b.ReportMetric(float64(sc.Horizon)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
+	})
+	b.Run("horizons", func(b *testing.B) {
+		sess := eng.Session()
+		for i := 0; i < b.N; i++ {
+			sink += sess.RunParallelEnv(4096, 1, env).MetCount()
+			sink += sess.RunParallelEnv(8192, 1, env).MetCount()
+		}
+		b.ReportMetric(float64(4096+8192)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
 	})
 }
 

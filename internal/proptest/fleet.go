@@ -135,18 +135,52 @@ func CheckFleetEngines(c FleetCase) error {
 	// partition-inducing worker count, must still reproduce the oracle
 	// meeting for meeting.
 	sess := eng.Session()
+	defer sess.Close()
 	for _, workers := range []int{2, 5} {
 		sess.Reset()
 		if err := sameMeetings(want, ResultMeetings(sess.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
-			sess.Close()
 			return fmt.Errorf("session re-run (workers=%d) vs oracle: %w", workers, err)
 		}
 	}
-	sess.Close()
+	// Eligibility across horizons: the engine caches the meetable count
+	// and the posting scan's met template once for every horizon past
+	// the fleet's last wake, and builds them anew at or below it. The
+	// joint runs at the last wake, just past it and at the full horizon
+	// must each reproduce the oracle's meetings below that horizon,
+	// which are exactly the meetings a reference run to it records.
+	lastWake := fleetLastWake(agents)
+	for _, h := range []int{max(lastWake, 1), lastWake + 1, c.Sc.Horizon} {
+		if h > c.Sc.Horizon {
+			continue // past the oracle's horizon
+		}
+		if err := sameMeetings(meetingsBefore(want, h), ResultMeetings(sess.RunJointParallelEnv(h, 2, env))); err != nil {
+			return fmt.Errorf("session re-run at horizon %d (last wake %d) vs oracle: %w", h, lastWake, err)
+		}
+	}
 	if err := checkCancelledRerun(c, eng, env, want); err != nil {
 		return err
 	}
 	return checkContactEngine(c, agents, env, want)
+}
+
+// fleetLastWake returns the latest wake slot in the fleet.
+func fleetLastWake(agents []simulator.Agent) int {
+	w := 0
+	for _, a := range agents {
+		w = max(w, a.Wake)
+	}
+	return w
+}
+
+// meetingsBefore returns the meetings of want at slots below horizon.
+func meetingsBefore(want map[[2]string]simulator.Meeting, horizon int) map[[2]string]simulator.Meeting {
+	out := make(map[[2]string]simulator.Meeting, len(want))
+	for key, m := range want {
+		if m.Slot < horizon {
+			out[key] = m
+		}
+	}
+	return out
 }
 
 // checkCancelledRerun is the cancellation clause: cancel a session run
@@ -225,7 +259,10 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 
 // CheckFleetPermutation is the agent-permutation metamorphic oracle:
 // shuffling the order agents are handed to the engine must not change
-// any meeting (names, slots, channels, TTRs).
+// any meeting (names, slots, channels, TTRs). Run routes these small
+// fleets to the pairwise scan, so the shuffled fleet also runs the
+// joint entry point at one worker and at two, which takes it to the
+// posting scan, whose groups and met rows follow the engine's id order.
 func CheckFleetPermutation(c FleetCase) error {
 	agents, env, err := c.Build()
 	if err != nil {
@@ -244,6 +281,15 @@ func CheckFleetPermutation(c FleetCase) error {
 	}
 	if err := sameMeetings(a, b); err != nil {
 		return fmt.Errorf("agent permutation changed meetings: %w", err)
+	}
+	eng, err := simulator.NewEngine(perm)
+	if err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	for _, workers := range []int{1, 2} {
+		if err := sameMeetings(a, ResultMeetings(eng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+			return fmt.Errorf("agent permutation changed joint meetings (workers=%d): %w", workers, err)
+		}
 	}
 	return nil
 }
@@ -423,9 +469,11 @@ func CheckScenarioDeterminism(c FleetCase) error {
 // rest over the run's met bitset, must equal both per-pair reference
 // definitions — Summarize (all pairs, name lookups) and
 // SummarizeContact (contact edges) — field for field. Every fleet is
-// checked through one reused session across two horizons, so the
-// per-horizon meetable cache and the recycled met bitset are on the
-// hook too.
+// checked through one reused session across four horizons, so the
+// meetable cache and the recycled met bitset are on the hook too: half
+// and all of the scenario's horizon, and the fleet's last wake and one
+// past it, on either side of the point past which eligibility stops
+// changing.
 func CheckFleetSummarize(c FleetCase) error {
 	build, err := scenario.BuilderFor(c.Alg, c.Sc.N, c.Sc.Seed)
 	if err != nil {
@@ -436,8 +484,9 @@ func CheckFleetSummarize(c FleetCase) error {
 		return fmt.Errorf("open: %w", err)
 	}
 	defer fl.Close()
+	lastWake := fleetLastWake(fl.Agents)
 	sess := fl.Eng.Session()
-	for _, h := range []int{c.Sc.Horizon / 2, c.Sc.Horizon} {
+	for _, h := range []int{c.Sc.Horizon / 2, c.Sc.Horizon, lastWake, lastWake + 1} {
 		res := sess.RunParallelEnv(h, 2, fl.Env)
 		want := scenario.Summarize(res, fl.Agents, h)
 		if got := scenario.SummarizeContact(res, fl.Agents, h, fl.Graph()); got != want {

@@ -39,9 +39,10 @@ func cancelKernels() []cancelKernel {
 	// dense and topo are the csr row's oracle: the same fleet without a
 	// topology, on which the joint entry point runs the inverted scan,
 	// filtered to the pairs topo puts in range. The row's build sets
-	// them before any oracle call.
+	// them, and the fleet, before any oracle call.
 	var (
 		dense *Engine
+		fleet []Agent
 		topo  *ContactTopology
 	)
 	return []cancelKernel{
@@ -98,7 +99,7 @@ func cancelKernels() []cancelKernel {
 				// CSR pair state routes even the joint entry point to the
 				// pairwise kernel.
 				const n = 24
-				fleet := jointTestFleet(t, rng, n)
+				fleet = jointTestFleet(t, rng, n)
 				topo = randomTopology(rng, n, 3, 3, 1.0)
 				var eng *Engine
 				eng, dense = contactTwins(t, fleet, topo)
@@ -106,7 +107,7 @@ func cancelKernels() []cancelKernel {
 			},
 			run: joint,
 			oracle: func(_ *Engine, horizon int) *Result {
-				return inRangeOnly(dense.RunJointParallelEnv(horizon, 1, nil), topo)
+				return inRangeOnly(dense.RunJointParallelEnv(horizon, 1, nil), fleet, topo)
 			},
 		},
 	}

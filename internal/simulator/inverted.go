@@ -103,8 +103,10 @@ func (e *Engine) metBase() []int32 {
 }
 
 // metSeed returns the met-row template the posting scan starts from,
-// and its full-word masks (rowFull), cached per horizon on the engine.
-// Row i pre-marks the diagonal, the bits of its last word above i (ids
+// and its full-word masks (rowFull), cached on the engine per effective
+// horizon: every horizon past the fleet's last wake shares one template
+// (see eligibleHorizon for why that is exact). Row i pre-marks the
+// diagonal, the bits of its last word above i (ids
 // that can never appear in a posting list i detects against), and
 // every earlier agent j with which i can never meet within the horizon
 // (disjoint hop sets or non-overlapping activity windows). Only
@@ -119,6 +121,7 @@ func (e *Engine) metBase() []int32 {
 // slot on, at every fleet size.
 func (e *Engine) metSeed(horizon int) (tmpl, full []uint64) {
 	base := e.metBase()
+	horizon = e.eligibleHorizon(horizon)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.metSeedTmpl != nil && e.metSeedHorizon == horizon {

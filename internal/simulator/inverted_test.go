@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -106,5 +107,55 @@ func TestScanKindGates(t *testing.T) {
 	}
 	if eng.usesPostingScan(1000) {
 		t.Fatalf("%d-agent dense fleet past the met-template budget must run pairwise", n)
+	}
+}
+
+// TestHopSetOrderInvisible builds one above-floor dense fleet in input
+// order and in reverse. NewEngine numbers agents by hop set, stable in
+// input order, so agents with equal hop sets take different ids in the
+// two engines, and the posting scan walks its groups and met rows in
+// different orders. Under an Environment, at one worker and at two,
+// both must route to the posting scan and agree on Meetings and Tally.
+func TestHopSetOrderInvisible(t *testing.T) {
+	const horizon = 2048
+	fleet := sharedChannelFleet(t, rand.New(rand.NewSource(137)), 257)
+	reversed := slices.Clone(fleet)
+	slices.Reverse(reversed)
+	var engs [2]*Engine
+	for k, agents := range [][]Agent{fleet, reversed} {
+		eng, err := NewEngine(agents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[k] = eng
+	}
+	if slices.Equal(engs[0].names, engs[1].names) {
+		t.Fatal("fixture: both input orders gave the same engine ids")
+	}
+	for _, workers := range []int{1, 2} {
+		var (
+			want      []Meeting
+			wantTally PairTally
+		)
+		for k, eng := range engs {
+			res := eng.RunParallelEnv(horizon, workers, evenSlotsBlocked{})
+			if r := eng.LastRoute(); r != RouteInverted {
+				t.Fatalf("workers=%d order %d: routed %v, want inverted", workers, k, r)
+			}
+			got, tally := res.Meetings(), eng.Tally(res)
+			if k == 0 {
+				if len(got) == 0 {
+					t.Fatal("fixture: no meeting")
+				}
+				want, wantTally = got, tally
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("workers=%d: reversed input order changed the meetings", workers)
+			}
+			if tally != wantTally {
+				t.Fatalf("workers=%d: reversed input order changed the tally: %+v, want %+v", workers, tally, wantTally)
+			}
+		}
 	}
 }

@@ -77,8 +77,10 @@ func TestPairwiseFillsOncePerWindow(t *testing.T) {
 			t.Fatalf("workers=%d: %d meetings on route %v, want none on the pairwise route",
 				workers, res.MetCount(), eng.LastRoute())
 		}
-		// The pairs are (hub, leaf i) for i = 1..k, in that order, so
-		// leaf i's pair is pair i−1 and falls in chunk (i−1)/chunk.
+		// In hop-set order leaf01 ({1}) precedes the hub ({1, …, k}),
+		// which precedes every other leaf, so the pairs are still
+		// (hub, leaf i) for i = 1..k, in that order: leaf i's pair is
+		// pair i−1 and falls in chunk (i−1)/chunk.
 		chunk, _ := pairChunks(k, workers)
 		chunksOf := make([]int32, len(agents))
 		chunksOf[0] = int32((k + chunk - 1) / chunk)

@@ -2,6 +2,8 @@ package simulator
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -199,6 +201,90 @@ func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 	// rediscover them from scratch.
 	for _, horizon := range []int{16384, 1024, 256, 4096, 16384} {
 		check(horizon)
+	}
+}
+
+// TestEligibilityReusedPastLastWake pins the effective-horizon key of
+// the eligibility caches: on a fleet whose last wake is below 4,096,
+// horizons 4,096 and 8,192 share one meetable count and one met
+// template (the same backing arrays), while a horizon at or below the
+// last wake rebuilds both. Every count must match a quadratic recount
+// over the input fleet.
+func TestEligibilityReusedPastLastWake(t *testing.T) {
+	fleet := jointTestFleet(t, rand.New(rand.NewSource(131)), 40)
+	eng, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastWake := 0
+	for _, a := range fleet {
+		lastWake = max(lastWake, a.Wake)
+	}
+	if lastWake >= 4096 {
+		t.Fatalf("fixture: last wake %d, want one below 4,096", lastWake)
+	}
+	recount := func(horizon int) int {
+		n := 0
+		for i := range fleet {
+			for j := i + 1; j < len(fleet); j++ {
+				if Coexist(fleet[i], fleet[j], horizon) &&
+					SetsIntersect(allChannels(fleet[i].Sched), allChannels(fleet[j].Sched)) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	// check runs both caches at horizon and reports the template and
+	// full-mask arrays, after asserting the count and the key it is
+	// cached under.
+	check := func(horizon, key int) (tmpl, full []uint64) {
+		t.Helper()
+		if got, want := eng.meetablePairs(horizon), recount(horizon); got != want {
+			t.Fatalf("horizon %d: %d meetable pairs, quadratic recount %d", horizon, got, want)
+		}
+		if eng.meetableHorizon != key {
+			t.Fatalf("horizon %d: meetable count cached at horizon %d, want %d", horizon, eng.meetableHorizon, key)
+		}
+		tmpl, full = eng.metSeed(horizon)
+		if eng.metSeedHorizon != key {
+			t.Fatalf("horizon %d: met template cached at horizon %d, want %d", horizon, eng.metSeedHorizon, key)
+		}
+		return tmpl, full
+	}
+	t4, f4 := check(4096, lastWake+1)
+	t8, f8 := check(8192, lastWake+1)
+	if &t4[0] != &t8[0] || &f4[0] != &f8[0] {
+		t.Fatal("horizons 4,096 and 8,192 lie past the last wake, but the met template was rebuilt")
+	}
+	if recount(lastWake) >= recount(lastWake+1) {
+		t.Fatal("fixture: the last waker adds no meetable pair, so no horizon at the last wake differs")
+	}
+	tl, fl := check(lastWake, lastWake)
+	if &tl[0] == &t8[0] || &fl[0] == &f8[0] {
+		t.Fatal("the horizon at the last wake reused the template of the horizons past it")
+	}
+	if again, _ := check(8192, lastWake+1); &again[0] == &tl[0] {
+		t.Fatal("horizon 8,192 reused the template of the horizon at the last wake")
+	}
+}
+
+// TestEligibleHorizonAtHugeWake pins the effective horizon's overflow
+// guard: an agent waking at math.MaxInt never coexists with anyone, and
+// must not wrap the cache key into a horizon at which no pair is
+// meetable.
+func TestEligibleHorizonAtHugeWake(t *testing.T) {
+	s := mustCyclic(t, []int{1, 2})
+	eng, err := NewEngine([]Agent{
+		{Name: "a", Sched: s}, {Name: "b", Sched: s, Wake: 3}, {Name: "late", Sched: s, Wake: math.MaxInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []int{4, 100, math.MaxInt} {
+		if got := eng.meetablePairs(h); got != 1 {
+			t.Fatalf("horizon %d: %d meetable pairs, want 1", h, got)
+		}
 	}
 }
 

@@ -200,16 +200,9 @@ func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	}
 	// Cell-major permutation, stable by input index so construction is
 	// deterministic in the caller's order.
-	order := make([]int, len(agents))
-	for i := range order {
-		order[i] = i
-	}
+	order := inputOrder(len(agents))
 	sort.SliceStable(order, func(a, b int) bool { return topo.Cell[order[a]] < topo.Cell[order[b]] })
-	perm := make([]Agent, len(agents))
-	for to, from := range order {
-		perm[to] = agents[from]
-	}
-	e, err := newEngine(perm)
+	e, err := newEngine(permuted(agents, order))
 	if err != nil {
 		return nil, err
 	}

@@ -49,16 +49,21 @@ func contactTwins(t *testing.T, fleet []Agent, topo *ContactTopology) (contact, 
 	return contact, dense
 }
 
-// inRangeOnly is the contact engine's oracle: full, a result of the
-// same fleet on a topology-free engine, with the meetings of pairs
-// that ct puts out of range (by the raw positions) dropped. A
-// topology-free engine keeps the input order, so its pair slots name
-// input indices directly.
-func inRangeOnly(full *Result, ct *ContactTopology) *Result {
+// inRangeOnly is the contact engine's oracle: full, a result of fleet
+// on a topology-free engine, with the meetings of pairs that ct puts
+// out of range (by the raw positions) dropped. A topology-free engine
+// orders its ids by hop set, so each pair slot's engine ids are mapped
+// back to input indices through the agents' names before the range
+// test.
+func inRangeOnly(full *Result, fleet []Agent, ct *ContactTopology) *Result {
+	input := make(map[string]int, len(fleet))
+	for i, a := range fleet {
+		input[a.Name] = i
+	}
 	res := *full
 	res.met = slices.Clone(full.met)
 	full.ps.forEach(func(p, i, j int) {
-		if res.isMet(p) && !inRange(ct, i, j) {
+		if res.isMet(p) && !inRange(ct, input[full.names[i]], input[full.names[j]]) {
 			res.met[p>>6] &^= 1 << (p & 63)
 			res.metCount--
 		}
