@@ -186,13 +186,15 @@ cover:
 golden:
 	$(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim ./internal/serve -update -count=1
 
-# Worst-case cache thrash: rerun the golden-report and examples smoke
-# suites with the shared table cache budgeted to a single byte, so every
-# borrow evicts whatever came before. Outputs must stay byte-identical
-# to the committed goldens — the cache budget is bookkeeping, never
-# semantics.
+# Worst-case cache thrash: rerun the golden-report, warm-horizons and
+# examples smoke suites with the shared table cache budgeted to a single
+# byte, so every borrow evicts whatever came before. Outputs must stay
+# byte-identical to the committed goldens — the cache budget is
+# bookkeeping, never semantics. The warm-horizons golden (./internal/serve)
+# re-runs one session at shorter and longer horizons, so its prefix
+# tables are served, replaced and evicted under the same pressure.
 golden-thrash:
-	RV_TABLECACHE_BUDGET=1 $(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim -count=1
+	RV_TABLECACHE_BUDGET=1 $(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim ./internal/serve -count=1
 	RV_TABLECACHE_BUDGET=1 $(GO) test -run 'TestExamplesRunToCompletion' ./examples -count=1
 
 # End-to-end daemon smoke: boot rvserve on an ephemeral port, drive it

@@ -357,7 +357,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 // primary users) three ways:
 //
 //   - fresh-cold: engine per run against a brand-new table cache — the
-//     pre-cache world, every run rebuilds its hop tables from nothing;
+//     pre-cache world, every run rebuilds its tables from nothing;
 //   - fresh-warm: engine per run against one persistent cache — the
 //     batch-sweep shape, table builds amortize across engines (hits/op
 //     counts the borrowed tables);
@@ -366,11 +366,14 @@ func BenchmarkEngineSparse(b *testing.B) {
 //
 // All three produce byte-identical results (budget independence); only
 // the amortized build cost differs, which is exactly the gap this
-// benchmark pins for the trajectory gate. Each run is RunEnv, the
-// router at one worker. The fleet's 12,923 meetable pairs sit below
-// the router's floor, so every run takes the pairwise scan, which
-// reads schedules only: on this fleet it borrows no table (hits/op is
-// 0), and the three shapes differ by the engine build alone.
+// benchmark pins for the trajectory gate. Each run calls the joint
+// scan at one worker (RunJointParallelEnv), which reads dense tables:
+// the §3.2 schedule's 30,240-slot period is over twice the horizon, so
+// every agent needs a horizon-prefix table. fresh-cold builds all 256
+// per run, fresh-warm borrows them from a cache one untimed run filled
+// (256 hits/op), and steady reads the tables its engine already holds.
+// (The router would send this fleet's 12,923 meetable pairs to the
+// pairwise scan, which reads schedules only and borrows no table.)
 func BenchmarkSessionReuse(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 128, Agents: 256, K: 4, Seed: 7, Horizon: 1 << 13,
@@ -399,7 +402,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			simulator.SetTableCache(tablecache.New(tablecache.DefaultBudget))
 			eng := newEngine(b)
-			sink += eng.RunEnv(sc.Horizon, env).MetCount()
+			sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
 			eng.Close()
 		}
 	})
@@ -407,13 +410,17 @@ func BenchmarkSessionReuse(b *testing.B) {
 		c := tablecache.New(tablecache.DefaultBudget)
 		prev := simulator.SetTableCache(c)
 		defer simulator.SetTableCache(prev)
+		eng := newEngine(b)
+		sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount() // fill the cache
+		eng.Close()
+		filled := c.Stats().Hits
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng := newEngine(b)
-			sink += eng.RunEnv(sc.Horizon, env).MetCount()
+			sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
 			eng.Close()
 		}
-		b.ReportMetric(float64(c.Stats().Hits)/float64(b.N), "hits/op")
+		b.ReportMetric(float64(c.Stats().Hits-filled)/float64(b.N), "hits/op")
 	})
 	b.Run("steady", func(b *testing.B) {
 		prev := simulator.SetTableCache(tablecache.New(tablecache.DefaultBudget))
@@ -421,11 +428,11 @@ func BenchmarkSessionReuse(b *testing.B) {
 		eng := newEngine(b)
 		defer eng.Close()
 		sess := eng.Session()
-		sink += sess.RunEnv(sc.Horizon, env).MetCount() // warm tables + result
+		sink += sess.RunJointParallelEnv(sc.Horizon, 1, env).MetCount() // warm tables + result
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sess.Reset()
-			sink += sess.RunEnv(sc.Horizon, env).MetCount()
+			sink += sess.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
 		}
 	})
 }

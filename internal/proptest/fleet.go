@@ -7,6 +7,7 @@ import (
 	"rendezvous/internal/scenario"
 	"rendezvous/internal/schedule"
 	"rendezvous/internal/simulator"
+	"rendezvous/internal/tablecache"
 )
 
 // FleetCase is one generated network-scale instance: a full Scenario
@@ -157,10 +158,46 @@ func CheckFleetEngines(c FleetCase) error {
 			return fmt.Errorf("session re-run at horizon %d (last wake %d) vs oracle: %w", h, lastWake, err)
 		}
 	}
+	if err := checkAscendingHorizons(c, agents, env, want); err != nil {
+		return err
+	}
 	if err := checkCancelledRerun(c, eng, env, want); err != nil {
 		return err
 	}
 	return checkContactEngine(c, agents, env, want)
+}
+
+// checkAscendingHorizons is the prefix-upgrade clause: two fresh
+// engines A and B of the fleet share a fresh table cache. A runs just
+// past the fleet's last wake and B at the full horizon, so the cache's
+// prefix entries take B's longer tables while A still holds its shorter
+// ones; A then re-runs at its own horizon, reading those, and at the
+// full horizon, where it upgrades to B's. Every run must reproduce the
+// oracle's meetings below its horizon.
+func checkAscendingHorizons(c FleetCase, agents []simulator.Agent, env simulator.Environment, want map[[2]string]simulator.Meeting) error {
+	prev := simulator.SetTableCache(tablecache.New(tablecache.DefaultBudget))
+	defer simulator.SetTableCache(prev)
+	a, err := simulator.NewEngine(agents)
+	if err != nil {
+		return fmt.Errorf("engine A: %w", err)
+	}
+	defer a.Close()
+	b, err := simulator.NewEngine(agents)
+	if err != nil {
+		return fmt.Errorf("engine B: %w", err)
+	}
+	defer b.Close()
+	short := min(fleetLastWake(agents)+1, c.Sc.Horizon)
+	for _, run := range []struct {
+		name string
+		eng  *simulator.Engine
+		h    int
+	}{{"A", a, short}, {"B", b, c.Sc.Horizon}, {"A", a, short}, {"A", a, c.Sc.Horizon}} {
+		if err := sameMeetings(meetingsBefore(want, run.h), ResultMeetings(run.eng.RunJointParallelEnv(run.h, 1, env))); err != nil {
+			return fmt.Errorf("ascending horizons: engine %s at horizon %d vs oracle: %w", run.name, run.h, err)
+		}
+	}
+	return nil
 }
 
 // fleetLastWake returns the latest wake slot in the fleet.

@@ -44,7 +44,8 @@ func CompileDense(s Schedule, id func(ch int) int32) (d *DenseTable, ok bool) {
 // of CompileDense for schedules whose period is too long to compile.
 // Evaluation cost is paid once at build time; every later FillBlock is
 // a straight copy. The caller owns the memory trade (4 bytes per slot)
-// and must not read at or past slots.
+// and must not read at or past slots. A prefix table of slots serves
+// every shorter horizon too: its first L slots are the L-slot prefix.
 func DensePrefix(s Schedule, slots int, id func(ch int) int32, scratch []int) *DenseTable {
 	out := make([]int32, slots)
 	for base := 0; base < slots; base += len(scratch) {
@@ -61,6 +62,13 @@ func DensePrefix(s Schedule, slots int, id func(ch int) int32, scratch []int) *D
 // Len returns the slots covered by the table: one period for
 // CompileDense tables, the materialized prefix for DensePrefix ones.
 func (d *DenseTable) Len() int { return len(d.table) }
+
+// Covers reports whether d serves reads of slots [0, slots): a period
+// table serves every slot, a prefix table every slot below its length,
+// and a nil table none.
+func (d *DenseTable) Covers(slots int) bool {
+	return d != nil && (!d.prefix || slots <= len(d.table))
+}
 
 // FillBlock fills dst[i] with the dense id of slot start+i: a wrapped
 // copy of the period table, mirroring Compiled.ChannelBlock. Prefix

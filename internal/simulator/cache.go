@@ -1,10 +1,12 @@
 package simulator
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"rendezvous/internal/schedule"
 	"rendezvous/internal/tablecache"
 )
 
@@ -109,16 +111,16 @@ func (e *Engine) uniKeyLocked() string {
 	return e.uniKey
 }
 
-// releasePrefixPinsLocked releases and forgets the pins backing the
-// current horizon-prefix table set. Called when planFor discards the
-// set on a horizon change, and by Close. Caller holds e.mu; Release
-// only takes the cache's own lock, so the ordering (engine before
-// cache) is consistent everywhere.
-func (e *Engine) releasePrefixPinsLocked() {
-	for _, h := range e.prefixHandles {
-		h.Release()
+// setDenseLocked makes d agent i's dense table and swaps the agent's
+// pin for h, so the engine holds one dense pin per agent. densePins is
+// allocated with the first table: engines that never run a joint scan
+// carry none. Caller holds e.mu (engine before cache, as everywhere).
+func (e *Engine) setDenseLocked(i int, d *schedule.DenseTable, h tablecache.Handle) {
+	if e.densePins == nil {
+		e.densePins = make([]tablecache.Handle, len(e.agents))
 	}
-	e.prefixHandles = nil
+	e.densePins[i].Release()
+	e.dense[i], e.densePins[i] = d, h
 }
 
 // Close releases the engine's pins on shared cache entries, making them
@@ -126,17 +128,16 @@ func (e *Engine) releasePrefixPinsLocked() {
 // dense slices keep their references, and any table the cache later
 // evicts stays valid (entries are immutable). Close is idempotent, and
 // a run issued after Close is not a misuse: any tables such a run
-// borrows anew (e.g. prefix tables for a horizon the engine has not
-// seen) are re-tracked on the engine, and a later Close releases them
-// too — long-running callers may Close at any quiescent point without
-// leaking pins (tablecache.Stats.Pinned is the observable).
+// borrows anew (e.g. longer prefix tables for a horizon past the
+// engine's) are re-tracked on the engine, and a later Close releases
+// them too — long-running callers may Close at any quiescent point
+// without leaking pins (tablecache.Stats.Pinned is the observable).
 func (e *Engine) Close() {
 	e.mu.Lock()
-	hs := e.handles
-	e.handles = nil
-	e.releasePrefixPinsLocked()
-	e.mu.Unlock()
-	for _, h := range hs {
+	defer e.mu.Unlock()
+	for _, h := range slices.Concat(e.handles, e.densePins) {
 		h.Release()
 	}
+	e.handles = nil
+	clear(e.densePins)
 }

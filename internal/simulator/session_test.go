@@ -123,8 +123,8 @@ func TestSessionCacheBudgetIndependence(t *testing.T) {
 
 // prefixFleet builds agents whose cyclic periods exceed twice every
 // horizon the test runs, so no schedule compiles and every run goes
-// through the horizon-prefix table path — the one whose cache pins are
-// horizon-keyed.
+// through the horizon-prefix table path — the one whose tables a
+// longer horizon replaces.
 func prefixFleet(t *testing.T, agents, period int) []Agent {
 	t.Helper()
 	fleet := make([]Agent, agents)
@@ -290,9 +290,9 @@ func TestEligibleHorizonAtHugeWake(t *testing.T) {
 
 // TestEngineCloseThenRunRepins pins Close's reuse contract: a run
 // issued after Close may borrow fresh tables from the cache (here,
-// prefix tables for a horizon the engine has not seen); those pins are
-// re-tracked on the engine and the next Close releases them — no pin
-// survives the last Close, at any call order.
+// longer prefix tables for a horizon past the ones the engine holds);
+// those pins are re-tracked on the engine and the next Close releases
+// them — no pin survives the last Close, at any call order.
 func TestEngineCloseThenRunRepins(t *testing.T) {
 	cache := tablecache.New(tablecache.DefaultBudget)
 	prev := SetTableCache(cache)
@@ -326,10 +326,10 @@ func TestEngineCloseThenRunRepins(t *testing.T) {
 }
 
 // TestPrefixPinsReleasedOnHorizonChange pins the long-running-caller
-// fix: the horizon-prefix table set is horizon-keyed, so an engine
-// serving many horizons must release each discarded set's pins as it
-// goes. Before the fix every horizon leaked its predecessor's pins
-// until Close, growing the cache past any budget.
+// contract: an engine whose horizons keep growing replaces each agent's
+// prefix table with a longer one, and must swap the agent's pin as it
+// goes. Were the replaced tables' pins kept until Close, every horizon
+// would leak a table set the cache could never evict.
 func TestPrefixPinsReleasedOnHorizonChange(t *testing.T) {
 	cache := tablecache.New(tablecache.DefaultBudget)
 	prev := SetTableCache(cache)
@@ -348,8 +348,8 @@ func TestPrefixPinsReleasedOnHorizonChange(t *testing.T) {
 		sess.RunJointParallelEnv(horizon, 1, nil) // pairwise runs build no tables
 		after = append(after, cache.Stats().Refs)
 	}
-	// Every horizon pins exactly one prefix table per agent; discarding
-	// a horizon's set must drop its pins, so the outstanding count stays
+	// Every horizon pins exactly one prefix table per agent; replacing
+	// an agent's table must drop its pin, so the outstanding count stays
 	// flat instead of climbing by `agents` per horizon.
 	for i, refs := range after {
 		if refs != after[0] {
@@ -357,6 +357,81 @@ func TestPrefixPinsReleasedOnHorizonChange(t *testing.T) {
 		}
 		if i == 0 && refs != agents {
 			t.Fatalf("first horizon pinned %d tables, want %d (one prefix table per agent)", refs, agents)
+		}
+	}
+}
+
+// TestPrefixTablesServeShorterHorizons pins the one-table-per-agent
+// rule: an agent's prefix table serves every horizon it covers, so a
+// session moving between horizons builds tables only when a horizon
+// past every earlier one arrives, and reads the longest table's prefix
+// otherwise without touching the cache. The cache holds one entry per
+// agent, the session one pin per agent, and each run's meetings match
+// a fresh engine's, whose private tables end at exactly that horizon.
+// A second engine on the same cache then borrows the longest tables for
+// a shorter horizon without adding an entry.
+func TestPrefixTablesServeShorterHorizons(t *testing.T) {
+	const agents = 6
+	fleet := prefixFleet(t, agents, 5000)
+	fresh := func(horizon int) []Meeting {
+		t.Helper()
+		prev := SetTableCache(nil)
+		eng, err := NewEngine(fleet)
+		SetTableCache(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.RunJointParallelEnv(horizon, 1, nil).Meetings()
+	}
+	cache := tablecache.New(tablecache.DefaultBudget)
+	prev := SetTableCache(cache)
+	defer SetTableCache(prev)
+
+	eng, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess := eng.Session()
+	defer sess.Close()
+	longest := 0
+	for _, horizon := range []int{1024, 512, 768, 1024, 1536, 256, 1536} {
+		before := cache.Stats()
+		got := sess.RunJointParallelEnv(horizon, 1, nil).Meetings()
+		after := cache.Stats()
+		if want := fresh(horizon); len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizon %d: session met %d pairs, a fresh engine %d, or the meetings differ", horizon, len(got), len(want))
+		}
+		builds, lookups := after.Misses-before.Misses, after.Hits+after.Misses-before.Hits-before.Misses
+		if horizon > longest {
+			longest = horizon
+			if builds != agents || lookups != agents {
+				t.Fatalf("horizon %d: %d builds in %d lookups, want %d of each (one longer table per agent)", horizon, builds, lookups, agents)
+			}
+		} else if lookups != 0 {
+			t.Fatalf("horizon %d lies within the %d-slot tables, yet the run made %d cache lookups", horizon, longest, lookups)
+		}
+		if after.Entries != agents || after.Refs != agents || after.Bytes != int64(agents*4*longest) {
+			t.Fatalf("horizon %d: cache %+v; want %d entries of %d slots, one pin each", horizon, after, agents, longest)
+		}
+	}
+
+	other, err := NewEngine(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	before := cache.Stats()
+	if got, want := other.RunJointParallelEnv(300, 1, nil).Meetings(), fresh(300); !reflect.DeepEqual(got, want) {
+		t.Fatalf("horizon 300 on a second engine: %d meetings, a fresh private engine %d", len(got), len(want))
+	}
+	after := cache.Stats()
+	if after.Hits-before.Hits != agents || after.Misses != before.Misses || after.Entries != agents {
+		t.Fatalf("second engine at horizon 300: cache %+v after %+v; want %d hits on the existing entries and nothing built", after, before, agents)
+	}
+	for i, d := range other.dense {
+		if d.Len() != longest {
+			t.Fatalf("second engine: agent %d reads a %d-slot table, want the %d-slot one", i, d.Len(), longest)
 		}
 	}
 }

@@ -4,18 +4,22 @@
 // (schedule.CompileDense), and horizon prefix tables
 // (schedule.DensePrefix) — keyed by the schedule's canonical parameters
 // (schedule.KeyOf) plus, for dense tables, the owning engine's channel
-// universe fingerprint. Sweep drivers, repeated scenario runs, and a
-// future rvserve daemon all build a given table once and share it.
+// universe fingerprint. Sweep drivers, repeated scenario runs and
+// rvserve's sessions build a given table once and share it.
+//
+// A prefix entry holds the longest prefix built for its schedule and
+// serves every shorter request. put's one rule, the larger value wins,
+// keeps it longest: only prefix tables differ in size.
 //
 // Entries are ref-counted: a lookup or insert pins the entry and hands
 // back a Handle; Handle.Release unpins it. Eviction walks the LRU tail
 // and only drops unpinned entries, so the cache may transiently exceed
 // its byte budget while pinned. Pinning is bookkeeping, not a
-// correctness mechanism — entries are immutable, so even an evicted
-// table held by a live engine stays valid; eviction only costs a
-// rebuild on the next miss. That is what makes correctness independent
-// of the budget (CI proves it by running the golden suite at a 1-byte
-// budget).
+// correctness mechanism — entries are immutable, so even an evicted or
+// replaced table held by a live engine stays valid; eviction only costs
+// a rebuild on the next miss. That is what makes correctness
+// independent of the budget (CI proves it by running the golden suite
+// at a 1-byte budget).
 package tablecache
 
 import (
@@ -162,7 +166,7 @@ func (c *Cache) Compile(s schedule.Schedule) (schedule.Schedule, Handle) {
 		return schedule.Compile(s), Handle{}
 	}
 	key = "c|" + key
-	if v, h, ok := c.get(key); ok {
+	if v, h, ok := c.get(key, 0); ok {
 		return v.(schedule.Schedule), h
 	}
 	cs := schedule.Compile(s)
@@ -192,7 +196,7 @@ func (c *Cache) Dense(s schedule.Schedule, scope string, id func(ch int) int32) 
 		return d, Handle{}, ok2
 	}
 	key = "d|" + scope + "|" + key
-	if v, h, ok := c.get(key); ok {
+	if v, h, ok := c.get(key, 0); ok {
 		return v.(*schedule.DenseTable), h, true
 	}
 	d, ok2 := schedule.CompileDense(s, id)
@@ -204,9 +208,10 @@ func (c *Cache) Dense(s schedule.Schedule, scope string, id func(ch int) int32) 
 }
 
 // DensePrefix is schedule.DensePrefix through the cache, keyed by
-// (scope, slots, schedule key). This is the big win for repeated
-// scenario runs: prefix tables are O(agents × horizon) to build, and a
-// re-run of the same fleet shape gets them all back for free.
+// (scope, schedule key): the table returned covers at least slots, and
+// a request past the entry's length counts as a miss and replaces it
+// with the longer table. Prefix tables are O(agents × horizon) to
+// build, and a re-run of the same fleet shape gets them back for free.
 func (c *Cache) DensePrefix(s schedule.Schedule, scope string, slots int, id func(ch int) int32, scratch []int) (*schedule.DenseTable, Handle) {
 	if c == nil {
 		return schedule.DensePrefix(s, slots, id, scratch), Handle{}
@@ -215,8 +220,8 @@ func (c *Cache) DensePrefix(s schedule.Schedule, scope string, slots int, id fun
 	if !ok {
 		return schedule.DensePrefix(s, slots, id, scratch), Handle{}
 	}
-	key = "p|" + scope + "|" + strconv.Itoa(slots) + "|" + key
-	if v, h, ok := c.get(key); ok {
+	key = "p|" + scope + "|" + key
+	if v, h, ok := c.get(key, 4*int64(slots)); ok {
 		return v.(*schedule.DenseTable), h
 	}
 	d := schedule.DensePrefix(s, slots, id, scratch)
@@ -224,12 +229,13 @@ func (c *Cache) DensePrefix(s schedule.Schedule, scope string, slots int, id fun
 	return v.(*schedule.DenseTable), h
 }
 
-// get pins and returns the entry under key, if present.
-func (c *Cache) get(key string) (any, Handle, bool) {
+// get pins and returns the entry under key if it holds at least bytes;
+// a smaller entry is a miss, like an absent one.
+func (c *Cache) get(key string, bytes int64) (any, Handle, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.table[key]
-	if !ok {
+	if !ok || e.bytes < bytes {
 		c.misses++
 		return nil, Handle{}, false
 	}
@@ -241,23 +247,27 @@ func (c *Cache) get(key string) (any, Handle, bool) {
 }
 
 // put inserts val under key pinned, evicting cold entries past the
-// budget. If another goroutine inserted the same key first, its value
-// wins (the tables are interchangeable) and val is dropped.
+// budget. The larger value wins (values under one key agree wherever
+// both are defined): a smaller entry's value is replaced, and its
+// holders keep reading the old, immutable one.
 func (c *Cache) put(key string, val any, bytes int64) (any, Handle) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.table[key]; ok {
-		e.refs++
+	e, ok := c.table[key]
+	if ok {
 		c.unlink(e)
-		c.pushFront(e)
-		return e.val, Handle{c: c, e: e}
+	} else {
+		e = &entry{key: key}
+		c.table[key] = e
 	}
-	e := &entry{key: key, val: val, bytes: bytes, refs: 1}
-	c.table[key] = e
+	if !ok || bytes > e.bytes {
+		c.bytes += bytes - e.bytes
+		e.val, e.bytes = val, bytes
+	}
+	e.refs++
 	c.pushFront(e)
-	c.bytes += bytes
 	c.evictLocked()
-	return val, Handle{c: c, e: e}
+	return e.val, Handle{c: c, e: e}
 }
 
 // evictLocked walks from the LRU tail dropping unpinned entries until
