@@ -46,11 +46,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The pairwise scan's workers share one found array and draw their block
-# rings from a process-wide pool, so its ring and chunk tests also run
-# ten times over under -race.
+# rings from a process-wide pool, whose slots carry each window's hop
+# mask and fill state from run to run, so its ring, chunk and cold-window
+# tests also run ten times over under -race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows' ./internal/simulator
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -223,9 +224,10 @@ serve-chaos:
 # committed expected file:
 #   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
 #     contact graph, engine build, the pairwise scan over 167k eligible
-#     in-range pairs, summary), about 10 s and 803 MiB per run; at one
-#     worker the pairwise scan is one chunk with one block ring; at
-#     several, workers claim chunks of the pair list;
+#     in-range pairs, summary), 9–14 s and 803 MiB per run depending on
+#     host load; at one worker the pairwise scan is one chunk with one
+#     block ring; at several, workers claim chunks of the pair list; both
+#     skip the windows where a pair's hop masks are disjoint;
 #   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
 #     posting scan walks two summary words per group (one per 4,096
 #     agents), about 2–2.5 s and 396–503 MiB per run; at one worker it is

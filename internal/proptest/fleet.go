@@ -35,7 +35,7 @@ func GenFleetCase(rng *rand.Rand) FleetCase {
 	horizon := 512 + rng.Intn(3584)
 	sc := scenario.Scenario{
 		Name:    "prop",
-		N:       4 + rng.Intn(29),
+		N:       genFleetUniverse(rng),
 		Agents:  3 + rng.Intn(8),
 		Seed:    rng.Uint64(),
 		Horizon: horizon,
@@ -63,6 +63,18 @@ func GenFleetCase(rng *rand.Rand) FleetCase {
 		sc.Grid = genGrid(rng)
 	}
 	return FleetCase{Alg: FleetAlgs[rng.Intn(len(FleetAlgs))], Sc: sc}
+}
+
+// genFleetUniverse draws a fleet's universe size: mostly 4–32
+// channels, where small channel sets overlap often, and one draw in
+// four 65–160, so channels c and c+64 can share a hop-mask bit (see
+// schedule.HopMasker) and the pairwise scan meets windows its masks
+// call hot although no pair co-hops there.
+func genFleetUniverse(rng *rand.Rand) int {
+	if rng.Intn(4) == 0 {
+		return 65 + rng.Intn(96)
+	}
+	return 4 + rng.Intn(29)
 }
 
 // genGrid draws a contact grid a few radii across: small enough that

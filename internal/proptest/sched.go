@@ -75,10 +75,14 @@ func CheckBlockEquiv(c SchedCase) error {
 
 // BlockEquivErr probes ChannelBlock ≡ Channel on a concrete schedule
 // (the workhorse behind CheckBlockEquiv, also pointed at deliberately
-// sabotaged schedules by the shrinker self-test).
+// sabotaged schedules by the shrinker self-test), and, for a
+// schedule.HopMasker, that HopMask covers every channel of each probe
+// window: the pairwise scan skips a window whose masks are disjoint, so
+// a missing bit would hide a meeting.
 func BlockEquivErr(s schedule.Schedule, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]int, 300)
+	hm, masks := s.(schedule.HopMasker)
 	for _, w := range probeWindows(rng, s.Period()) {
 		start, l := w[0], min(w[1], len(buf))
 		if start < 0 {
@@ -93,6 +97,16 @@ func BlockEquivErr(s schedule.Schedule, seed int64) error {
 			if want := s.Channel(start + i); dst[i] != want {
 				return fmt.Errorf("ChannelBlock(start=%d, len=%d)[%d] = %d, want Channel(%d) = %d",
 					start, l, i, dst[i], start+i, want)
+			}
+		}
+		if !masks {
+			continue
+		}
+		m := hm.HopMask(start, l)
+		for i, c := range dst {
+			if m&(1<<(uint(c)&63)) == 0 {
+				return fmt.Errorf("HopMask(start=%d, n=%d) = %#x misses channel %d, hopped at slot %d",
+					start, l, m, c, start+i)
 			}
 		}
 	}

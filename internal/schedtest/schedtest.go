@@ -56,6 +56,8 @@ func sampleSlots(p int) []int {
 //     declares its period eventually valid (EventualPeriod);
 //   - ChannelBlock ≡ Channel slot-for-slot over windows straddling
 //     every boundary the implementation cares about;
+//   - for a HopMasker, HopMask covers every channel the block emits,
+//     over windows starting at every slot of the probed prefix;
 //   - Channel(-1) and FillBlock at a negative start panic;
 //   - Compile(s) evaluates identically to s.
 func Conform(t T, s schedule.Schedule) {
@@ -88,6 +90,7 @@ func Conform(t T, s schedule.Schedule) {
 	}
 
 	checkBlocks(t, s, p)
+	checkHopMask(t, s, p)
 	checkNegativeSlots(t, s)
 	checkCompile(t, s, p)
 }
@@ -173,6 +176,40 @@ func checkBlocks(t T, s schedule.Schedule, p int) {
 	// would otherwise panic.
 	schedule.FillBlock(s, nil, 0)
 	schedule.FillBlock(s, buf[:0], -1)
+}
+
+// checkHopMask asserts the HopMasker superset contract: HopMask(start,
+// n) has bit c&63 set for every channel c that FillBlock emits over the
+// same n slots. Windows start at every slot of the probed prefix, so
+// they straddle each 12-slot block, word and epoch boundary in it, and
+// at both sides of the first two period boundaries.
+func checkHopMask(t T, s schedule.Schedule, p int) {
+	t.Helper()
+	hm, ok := s.(schedule.HopMasker)
+	if !ok {
+		return
+	}
+	starts := []int{p - 1, p, p + 3, 2*p - 1}
+	for start := 0; start < min(p+65, maxProbe); start++ {
+		starts = append(starts, start)
+	}
+	buf := make([]int, 300)
+	for _, start := range starts {
+		if start < 0 {
+			continue
+		}
+		for _, l := range []int{1, 2, 13, 256, 300} {
+			dst := buf[:l]
+			schedule.FillBlock(s, dst, start)
+			m := hm.HopMask(start, l)
+			for i, c := range dst {
+				if m&(1<<(uint(c)&63)) == 0 {
+					t.Fatalf("HopMask(start=%d, n=%d) = %#x misses channel %d, hopped at slot %d",
+						start, l, m, c, start+i)
+				}
+			}
+		}
+	}
 }
 
 // checkNegativeSlots asserts the uniform negative-slot contract. The

@@ -104,12 +104,32 @@ type withAll struct {
 
 func (w withAll) AllChannels() []int { return append([]int(nil), w.all...) }
 
+// withMask adds a HopMask on top of broken: the exact fold of the
+// window's channels, minus the bits in drop.
+type withMask struct {
+	*broken
+	drop uint64
+}
+
+func (w withMask) HopMask(start, n int) uint64 {
+	dst := make([]int, n)
+	schedule.FillBlock(w.broken, dst, start)
+	var m uint64
+	for _, c := range dst {
+		m |= 1 << (uint(c) & 63)
+	}
+	return m &^ w.drop
+}
+
 func TestConformAcceptsHealthySchedule(t *testing.T) {
 	if msg := conformFailure(base(t)); msg != "" {
 		t.Fatalf("healthy schedule rejected: %s", msg)
 	}
 	if msg := conformFailure(&broken{Schedule: base(t)}); msg != "" {
 		t.Fatalf("transparent wrapper rejected: %s", msg)
+	}
+	if msg := conformFailure(withMask{broken: &broken{Schedule: base(t)}}); msg != "" {
+		t.Fatalf("exact HopMask rejected: %s", msg)
 	}
 }
 
@@ -230,6 +250,13 @@ func TestConformRejectsEachBrokenClause(t *testing.T) {
 				}}
 			},
 			wantMsg: "ChannelBlock(start=-3) did not panic",
+		},
+		{
+			name: "HopMask missing a hopped channel",
+			build: func() schedule.Schedule {
+				return withMask{broken: &broken{Schedule: base(t)}, drop: 1 << 7}
+			},
+			wantMsg: "HopMask(start=",
 		},
 		{
 			name: "AllChannels missing a hopped channel",

@@ -46,6 +46,37 @@ func FillBlock(s Schedule, dst []int, start int) {
 	}
 }
 
+// HopMasker is the optional fast path next to BlockEvaluator: HopMask
+// returns a word with bit c&63 set for every channel c that Channel
+// hops at some slot in [start, start+n), n ≥ 1, computed from the
+// schedule's structure without evaluating the slots. It is a superset
+// contract: extra bits are allowed, but a missing bit is a bug, because
+// callers skip a window whose masks are disjoint. Like Channel, it must
+// stay pure and safe for concurrent readers.
+type HopMasker interface {
+	HopMask(start, n int) uint64
+}
+
+// HopMask returns the hop mask of s over the len(dst) slots from start
+// (see HopMasker), using the schedule's native HopMask when it has one.
+// Otherwise it fills dst through FillBlock, folds the mask from it and
+// reports filled, so the caller can reuse the block instead of filling
+// it again.
+func HopMask(s Schedule, dst []int, start int) (mask uint64, filled bool) {
+	if len(dst) == 0 {
+		return 0, false
+	}
+	CheckSlot(start)
+	if m, ok := s.(HopMasker); ok {
+		return m.HopMask(start, len(dst)), false
+	}
+	FillBlock(s, dst, start)
+	for _, c := range dst {
+		mask |= 1 << (uint(c) & 63)
+	}
+	return mask, true
+}
+
 // EventualPeriod marks schedules whose Period is only eventually valid:
 // Channel(t+p) = Channel(t) is guaranteed from some slot onward but not
 // from t = 0 (Dynamic's transitional phases, and any wrapper around

@@ -43,6 +43,14 @@ func TestConformance(t *testing.T) {
 			}
 			return s
 		},
+		"Symmetric(General)PastChannel64": func(t *testing.T) schedule.Schedule {
+			// 5 and 69 share hop-mask bit 5, 133 and 5 do too.
+			s, err := schedule.NewAsync(160, []int{5, 69, 133, 150})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 		"Symmetric(Cyclic)": func(t *testing.T) schedule.Schedule {
 			c, err := schedule.NewCyclic([]int{4, 1, 4, 2})
 			if err != nil {

@@ -35,6 +35,7 @@ type General struct {
 }
 
 var _ Schedule = (*General)(nil)
+var _ HopMasker = (*General)(nil)
 
 // NewGeneral builds the Theorem-3 schedule for the given channel set
 // within universe [n].
@@ -141,6 +142,19 @@ func (g *General) ChannelBlock(dst []int, start int) {
 		}
 		filled += n
 	}
+}
+
+// HopMask implements HopMasker: the bits of both channels of every
+// epoch pair the range touches, with no word lookup.
+func (g *General) HopMask(start, n int) uint64 {
+	CheckSlot(start)
+	el := g.EpochLen()
+	var m uint64
+	for e := start / el; e <= (start+n-1)/el; e++ {
+		lo, hi := g.epochPair(e)
+		m |= 1<<(uint(lo)&63) | 1<<(uint(hi)&63)
+	}
+	return m
 }
 
 // epochPair returns the (sorted) channel pair scheduled in the given

@@ -84,3 +84,44 @@ func TestValidateChannels(t *testing.T) {
 		t.Errorf("sorted = %v", got)
 	}
 }
+
+// TestHopMaskEntryPoint pins HopMask's two paths: a schedule with a
+// native HopMask leaves dst untouched and reports no fill; one without
+// gets dst filled exactly as FillBlock fills it, the mask folded from
+// it, and filled reported, so a caller can reuse the block.
+func TestHopMaskEntryPoint(t *testing.T) {
+	g, err := NewAsync(160, []int{5, 69, 140})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCyclic([]int{3, 70, 3, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []int{0, 11, 250, 4097} {
+		dst := make([]int, 200)
+		for i := range dst {
+			dst[i] = -1
+		}
+		if m, filled := HopMask(g, dst, start); filled || m != g.HopMask(start, len(dst)) || dst[0] != -1 {
+			t.Fatalf("native: HopMask(start=%d) = %#x, filled %v, dst[0] %d; want %#x, no fill, dst untouched",
+				start, m, filled, dst[0], g.HopMask(start, len(dst)))
+		}
+		m, filled := HopMask(c, dst, start)
+		want := make([]int, len(dst))
+		FillBlock(c, want, start)
+		var fold uint64
+		for i, ch := range want {
+			fold |= 1 << (uint(ch) & 63)
+			if dst[i] != ch {
+				t.Fatalf("fold: dst[%d] = %d at start %d, want %d", i, dst[i], start, ch)
+			}
+		}
+		if !filled || m != fold {
+			t.Fatalf("fold: HopMask(start=%d) = %#x, filled %v; want %#x, filled", start, m, filled, fold)
+		}
+	}
+	if m, filled := HopMask(c, nil, 0); m != 0 || filled {
+		t.Fatalf("empty range: HopMask = %#x, filled %v; want 0, no fill", m, filled)
+	}
+}

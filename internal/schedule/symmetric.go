@@ -29,6 +29,7 @@ type Symmetric struct {
 }
 
 var _ Schedule = (*Symmetric)(nil)
+var _ HopMasker = (*Symmetric)(nil)
 
 // NewSymmetric wraps inner with the §3.2 min-channel pattern.
 func NewSymmetric(inner Schedule) *Symmetric {
@@ -91,6 +92,23 @@ func (s *Symmetric) ChannelBlock(dst []int, start int) {
 		}
 		in += len(ibuf)
 	}
+}
+
+// HopMask implements HopMasker: the bit of c0, ORed with the inner
+// schedule's hop mask over the inner slots the range touches, one per
+// 12 outer slots (its native HopMask when it has one, a fold of its
+// block otherwise).
+func (s *Symmetric) HopMask(start, n int) uint64 {
+	CheckSlot(start)
+	bp := innerBufPool.Get().(*[32]int)
+	defer innerBufPool.Put(bp)
+	m := uint64(1) << (uint(s.c0) & 63)
+	last := (start + n - 1) / SymmetricBlockLen
+	for in := start / SymmetricBlockLen; in <= last; in += len(bp) {
+		im, _ := HopMask(s.inner, bp[:min(last-in+1, len(bp))], in)
+		m |= im
+	}
+	return m
 }
 
 // symmetricBlock stores the block played for inner channel c1:
