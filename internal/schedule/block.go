@@ -57,24 +57,16 @@ type HopMasker interface {
 	HopMask(start, n int) uint64
 }
 
-// HopMask returns the hop mask of s over the len(dst) slots from start
-// (see HopMasker), using the schedule's native HopMask when it has one.
-// Otherwise it fills dst through FillBlock, folds the mask from it and
-// reports filled, so the caller can reuse the block instead of filling
-// it again.
-func HopMask(s Schedule, dst []int, start int) (mask uint64, filled bool) {
-	if len(dst) == 0 {
-		return 0, false
-	}
+// HopMask returns the hop mask of s over the n slots from start (see
+// HopMasker): the schedule's native HopMask when it has one, and all
+// ones otherwise, which claims every channel, so a caller that skips
+// disjoint masks scans such a schedule in every window.
+func HopMask(s Schedule, start, n int) uint64 {
 	CheckSlot(start)
 	if m, ok := s.(HopMasker); ok {
-		return m.HopMask(start, len(dst)), false
+		return m.HopMask(start, n)
 	}
-	FillBlock(s, dst, start)
-	for _, c := range dst {
-		mask |= 1 << (uint(c) & 63)
-	}
-	return mask, true
+	return ^uint64(0)
 }
 
 // EventualPeriod marks schedules whose Period is only eventually valid:

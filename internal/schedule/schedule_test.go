@@ -85,10 +85,9 @@ func TestValidateChannels(t *testing.T) {
 	}
 }
 
-// TestHopMaskEntryPoint pins HopMask's two paths: a schedule with a
-// native HopMask leaves dst untouched and reports no fill; one without
-// gets dst filled exactly as FillBlock fills it, the mask folded from
-// it, and filled reported, so a caller can reuse the block.
+// TestHopMaskEntryPoint pins HopMask's two answers: a schedule with a
+// native HopMask gets its own mask, and one without gets all ones, as
+// does the §3.2 wrapper around it.
 func TestHopMaskEntryPoint(t *testing.T) {
 	g, err := NewAsync(160, []int{5, 69, 140})
 	if err != nil {
@@ -99,29 +98,13 @@ func TestHopMaskEntryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, start := range []int{0, 11, 250, 4097} {
-		dst := make([]int, 200)
-		for i := range dst {
-			dst[i] = -1
+		if m, want := HopMask(g, start, 200), g.HopMask(start, 200); m != want {
+			t.Fatalf("native: HopMask(start=%d) = %#x, want %#x", start, m, want)
 		}
-		if m, filled := HopMask(g, dst, start); filled || m != g.HopMask(start, len(dst)) || dst[0] != -1 {
-			t.Fatalf("native: HopMask(start=%d) = %#x, filled %v, dst[0] %d; want %#x, no fill, dst untouched",
-				start, m, filled, dst[0], g.HopMask(start, len(dst)))
-		}
-		m, filled := HopMask(c, dst, start)
-		want := make([]int, len(dst))
-		FillBlock(c, want, start)
-		var fold uint64
-		for i, ch := range want {
-			fold |= 1 << (uint(ch) & 63)
-			if dst[i] != ch {
-				t.Fatalf("fold: dst[%d] = %d at start %d, want %d", i, dst[i], start, ch)
+		for _, s := range []Schedule{c, NewSymmetric(c)} {
+			if m := HopMask(s, start, 200); m != ^uint64(0) {
+				t.Fatalf("%T without a native mask: HopMask(start=%d) = %#x, want all ones", s, start, m)
 			}
 		}
-		if !filled || m != fold {
-			t.Fatalf("fold: HopMask(start=%d) = %#x, filled %v; want %#x, filled", start, m, filled, fold)
-		}
-	}
-	if m, filled := HopMask(c, nil, 0); m != 0 || filled {
-		t.Fatalf("empty range: HopMask = %#x, filled %v; want 0, no fill", m, filled)
 	}
 }

@@ -96,19 +96,15 @@ func (s *Symmetric) ChannelBlock(dst []int, start int) {
 
 // HopMask implements HopMasker: the bit of c0, ORed with the inner
 // schedule's hop mask over the inner slots the range touches, one per
-// 12 outer slots (its native HopMask when it has one, a fold of its
-// block otherwise).
+// 12 outer slots. An inner schedule without a HopMask gives all ones.
 func (s *Symmetric) HopMask(start, n int) uint64 {
 	CheckSlot(start)
-	bp := innerBufPool.Get().(*[32]int)
-	defer innerBufPool.Put(bp)
-	m := uint64(1) << (uint(s.c0) & 63)
-	last := (start + n - 1) / SymmetricBlockLen
-	for in := start / SymmetricBlockLen; in <= last; in += len(bp) {
-		im, _ := HopMask(s.inner, bp[:min(last-in+1, len(bp))], in)
-		m |= im
+	im, ok := s.inner.(HopMasker)
+	if !ok {
+		return ^uint64(0)
 	}
-	return m
+	first := start / SymmetricBlockLen
+	return 1<<(uint(s.c0)&63) | im.HopMask(first, (start+n-1)/SymmetricBlockLen-first+1)
 }
 
 // symmetricBlock stores the block played for inner channel c1:

@@ -12,9 +12,9 @@ import (
 // ChannelBlock: the slots filled in total and the calls per global
 // blockLen-slot window. Its Period is past any test horizon, so the
 // engine never compiles it and every slot the scan reads is counted.
-// It has no HopMask, so the pairwise scan takes each window's hop mask
-// by filling the block and folding it (schedule.HopMask), as for every
-// schedule without a native mask.
+// It has no HopMask, so its hop mask is all ones (schedule.HopMask) and
+// the pairwise scan fills its block in every window a live pair needs
+// it, as for every schedule without a native mask.
 type fillCounter struct {
 	schedule.Schedule
 	wake  int
