@@ -45,13 +45,15 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The pairwise scan's workers share one found array and draw their block
-# rings from a process-wide pool, whose slots carry each window's hop
-# mask and fill state from run to run, so its ring, chunk and cold-window
-# tests also run ten times over under -race.
+# The pairwise scan's workers write their pairs' meetings straight into
+# one shared Result and draw their block rings from a process-wide pool,
+# whose slots carry each window's hop mask and fill state from run to
+# run, so its ring, chunk and cold-window tests, and the dense-engine
+# cancellation, session and concurrent-run tests, also run ten times
+# over under -race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows|TestCancelMidRun|TestCancelSerialRun|TestCancelAfterEarlyExit|TestRunParallelDegenerate|TestConcurrentRunsOnOneEngine|TestSessionShrinkThenGrowHorizon' ./internal/simulator
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -96,8 +98,8 @@ BENCH_FAIL_ALLOCS_OVER ?= 10
 BENCH_FAIL_BYTES_OVER ?= 10
 # Sign-aware unit=pct gates for custom b.ReportMetric units
 # (space-separated): slots/sec is a throughput, so a negative threshold
-# fails on falls — the inverted-engine bench may not silently lose 10%
-# of its slot rate.
+# fails on falls — the engine benches may not silently lose 10% of
+# their slot rate.
 BENCH_METRIC_GATES ?= slots/sec=-10
 # Absolute floors under the percentage gates (benchjson
 # -min-ns-delta/-min-allocs-delta/-min-bytes-delta): a percentage of a
@@ -159,13 +161,12 @@ fuzz-smoke:
 	done
 
 # Property soak: every TestProp property at PROPTEST_ITERS iterations
-# on an optimized build. Run it after any change to a scan kernel: the
-# go1.24.0 miscompiles that the posting scan's two //go:noinline halves
-# (the group walk scanGroup and its recording half recordCands) and the
-# Load+CAS setSeenBit work around show up only in optimized builds
-# (-race and -N builds are correct), so `make race` cannot stand in for
-# it. The nightly workflow runs it at PROPTEST_ITERS=100000, once on
-# go.mod's Go release line and once on go1.24.0 exactly.
+# on an optimized build. Run it after any change to the scan kernel:
+# go1.24.0 miscompiled the since-deleted posting scan in optimized
+# builds only (-race and -N builds were correct), so `make race` cannot
+# stand in for it. The nightly workflow runs it at
+# PROPTEST_ITERS=100000, once on go.mod's Go release line and once on
+# go1.24.0 exactly.
 PROPTEST_ITERS ?= 1500
 prop-soak:
 	PROPTEST_ITERS=$(PROPTEST_ITERS) $(GO) test -count=1 -timeout 170m -run 'TestProp' ./internal/proptest
@@ -192,8 +193,8 @@ golden:
 # byte, so every borrow evicts whatever came before. Outputs must stay
 # byte-identical to the committed goldens — the cache budget is
 # bookkeeping, never semantics. The warm-horizons golden (./internal/serve)
-# re-runs one session at shorter and longer horizons, so its prefix
-# tables are served, replaced and evicted under the same pressure.
+# re-runs one session at shorter and longer horizons under the same
+# pressure.
 golden-thrash:
 	RV_TABLECACHE_BUDGET=1 $(GO) test -run 'TestGolden' ./internal/experiments ./cmd/rvsim ./internal/serve -count=1
 	RV_TABLECACHE_BUDGET=1 $(GO) test -run 'TestExamplesRunToCompletion' ./examples -count=1
@@ -224,15 +225,14 @@ serve-chaos:
 # committed expected file:
 #   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
 #     contact graph, engine build, the pairwise scan over 167k eligible
-#     in-range pairs, summary), 9–14 s and 803 MiB per run depending on
-#     host load; at one worker the pairwise scan is one chunk with one
+#     in-range pairs, summary), 8–14 s and 780–803 MiB per run depending
+#     on host load; at one worker the pairwise scan is one chunk with one
 #     block ring; at several, workers claim chunks of the pair list; both
 #     skip the windows where a pair's hop masks are disjoint;
-#   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), whose
-#     posting scan walks two summary words per group (one per 4,096
-#     agents), about 2–2.5 s and 396–503 MiB per run; at one worker it is
-#     the posting driver's solo path, which rvserve's one-worker jobs
-#     take above the router's floor.
+#   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), the
+#     pairwise scan over its 4.1M meetable pairs of triangular pair
+#     state, about 3.1–3.5 s and 423 MiB at one worker, 2.1–2.3 s and
+#     362 MiB at the default.
 # Timings are for a 2-vCPU host; the nightly workflow runs it, `make ci`
 # does not.
 network-smoke:

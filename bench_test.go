@@ -191,19 +191,18 @@ func BenchmarkEngineRunParallelWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineJointWorkers measures the time-sharded joint engine
-// at several worker counts against RunEnv on a 256-agent fleet over a
-// 40-channel universe — the acceptance benchmark for the sharded path.
-// The "serial" row is RunEnv, the router at one worker; its name
-// predates the removal of the serial occupancy scan and is kept so the
-// row lines up with the committed trajectory. The fleet's 17,992
-// meetable pairs sit below the router's floor, so that row times the
-// pairwise scan, while the workers=N rows call RunJointParallelEnv and
-// time the posting scan. Primary users occupy 8 channels full-time, so
-// some meetable pairs never meet and every run scans the full horizon:
-// stable per-iteration work with no early-exit noise. Results are byte-identical at every worker count; only
-// wall-clock may differ. On a single-core host the curve is flat; on
-// ≥8 cores workers=8 should run ≥3× the one-worker row.
+// BenchmarkEngineJointWorkers measures the pairwise scan at several
+// worker counts against RunEnv on a 256-agent fleet over a 40-channel
+// universe. The benchmark and "serial" row names predate the removal of
+// the serial occupancy scan and of the time-sharded joint scan, and are
+// kept so the rows line up with the committed trajectory: "serial" is
+// RunEnv, the scan at one worker, and the workers=N rows are
+// RunParallelEnv, whose workers claim chunks of the fleet's 17,992
+// meetable pairs. Primary users occupy 8 channels full-time, so some
+// meetable pairs never meet and scan to the end of the horizon: stable
+// per-iteration work with no early-exit noise. Results are
+// byte-identical at every worker count; only wall-clock may differ. On
+// a single-core host the curve is flat.
 func BenchmarkEngineJointWorkers(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 40, Agents: 256, K: 4, Seed: 7, Horizon: 1 << 14,
@@ -230,27 +229,27 @@ func BenchmarkEngineJointWorkers(b *testing.B) {
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += eng.RunJointParallelEnv(sc.Horizon, w, env).MetCount()
+				sink += eng.RunParallelEnv(sc.Horizon, w, env).MetCount()
 			}
 		})
 	}
 }
 
-// BenchmarkEngineInverted is the acceptance benchmark for the
-// inverted-index engine: a 1024-agent NETWORK-shaped fleet (128
+// BenchmarkEngineInverted runs a 1024-agent NETWORK-shaped fleet (128
 // channels, K=4, staggered wakes, 25% early leavers, eight windowed
-// primary users at 50% duty) through the joint entry point, which
-// routes it to the posting-list scan. It reports slots/sec (higher is
-// better) for the trajectory gate. The "inverted" sub-benchmark name
-// is kept so the row lines up with the committed trajectory, whose
-// "sharded" row measured the occupancy scan this one replaced.
+// primary users at 50% duty) through RunParallelEnv at GOMAXPROCS
+// workers. It reports slots/sec (higher is better) for the trajectory
+// gate. The benchmark and "inverted" row names are kept so the row
+// lines up with the committed trajectory, whose points measured the
+// inverted-index posting scan that served this fleet before every run
+// took the pairwise scan.
 //
 // The "horizons" row replays a warm rvserve session of the job
 // benchmark's net1k-warm workload: one Session re-runs the fleet at
-// horizons 4,096 and then 8,192 per iteration, at one worker, through
-// the router (which takes it to the posting scan). Both horizons lie
-// past the fleet's last wake, so the row times how much of a horizon
-// switch the engine rebuilds; it reports slots/sec over both runs.
+// horizons 4,096 and then 8,192 per iteration, at one worker. Both
+// horizons lie past the fleet's last wake, so the row times how much of
+// a horizon switch the engine rebuilds; it reports slots/sec over both
+// runs.
 func BenchmarkEngineInverted(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 128, Agents: 1024, K: 4, Seed: 7, Horizon: 1 << 14,
@@ -272,7 +271,7 @@ func BenchmarkEngineInverted(b *testing.B) {
 	}
 	b.Run("inverted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += eng.RunJointParallelEnv(sc.Horizon, 0, env).MetCount()
+			sink += eng.RunParallelEnv(sc.Horizon, 0, env).MetCount()
 		}
 		b.ReportMetric(float64(sc.Horizon)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
 	})
@@ -289,9 +288,10 @@ func BenchmarkEngineInverted(b *testing.B) {
 // BenchmarkEngineSparse is the acceptance benchmark for the contact
 // engine: a 4,096-agent NETWORK-SPARSE-shaped fleet (constant density,
 // mean contact degree ≈ 16) run dense — the same fleet with the
-// topology ignored, scanning all 8.4M pairs on the inverted scan — and
-// through a contact engine, whose contact-edge pair state routes it to
-// the pairwise scan over the in-range meetable pairs. The contact
+// topology ignored, over all 8.4M pairs of triangular pair state — and
+// through a contact engine, whose contact-edge pair state holds the
+// in-range pairs only. Both run the pairwise scan over their meetable
+// pairs. The contact
 // sub-bench reports the candidate reduction (all pairs / contact
 // edges) alongside slots/sec and fails below the ≥10× contract at this
 // scale; both Results agree on every in-range pair by the
@@ -329,7 +329,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 	}
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dense.RunJointParallelEnv(sc.Horizon, 0, env).MetCount()
+			sink += dense.RunParallelEnv(sc.Horizon, 0, env).MetCount()
 		}
 		b.ReportMetric(float64(sc.Horizon)*float64(b.N)/b.Elapsed().Seconds(), "slots/sec")
 	})
@@ -365,15 +365,14 @@ func BenchmarkEngineSparse(b *testing.B) {
 //     shape, where only the scan itself remains.
 //
 // All three produce byte-identical results (budget independence); only
-// the amortized build cost differs, which is exactly the gap this
-// benchmark pins for the trajectory gate. Each run calls the joint
-// scan at one worker (RunJointParallelEnv), which reads dense tables:
-// the §3.2 schedule's 30,240-slot period is over twice the horizon, so
-// every agent needs a horizon-prefix table. fresh-cold builds all 256
-// per run, fresh-warm borrows them from a cache one untimed run filled
-// (256 hits/op), and steady reads the tables its engine already holds.
-// (The router would send this fleet's 12,923 meetable pairs to the
-// pairwise scan, which reads schedules only and borrows no table.)
+// the amortized build cost differs. Each run is RunParallelEnv at one
+// worker. The §3.2 schedule's 30,240-slot period is over half the
+// horizon, so no schedule compiles and no run borrows a table:
+// fresh-warm reads 0 hits/op, and the three rows differ by the engine
+// build and the result arrays alone. The rows once timed dense and
+// horizon-prefix tables, which left with the posting scan that read
+// them; their names are kept so they line up with the committed
+// trajectory.
 func BenchmarkSessionReuse(b *testing.B) {
 	sc := rendezvous.Scenario{
 		N: 128, Agents: 256, K: 4, Seed: 7, Horizon: 1 << 13,
@@ -402,7 +401,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			simulator.SetTableCache(tablecache.New(tablecache.DefaultBudget))
 			eng := newEngine(b)
-			sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
+			sink += eng.RunParallelEnv(sc.Horizon, 1, env).MetCount()
 			eng.Close()
 		}
 	})
@@ -411,13 +410,13 @@ func BenchmarkSessionReuse(b *testing.B) {
 		prev := simulator.SetTableCache(c)
 		defer simulator.SetTableCache(prev)
 		eng := newEngine(b)
-		sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount() // fill the cache
+		sink += eng.RunParallelEnv(sc.Horizon, 1, env).MetCount() // fill the cache, if anything compiles
 		eng.Close()
 		filled := c.Stats().Hits
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng := newEngine(b)
-			sink += eng.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
+			sink += eng.RunParallelEnv(sc.Horizon, 1, env).MetCount()
 			eng.Close()
 		}
 		b.ReportMetric(float64(c.Stats().Hits-filled)/float64(b.N), "hits/op")
@@ -428,11 +427,11 @@ func BenchmarkSessionReuse(b *testing.B) {
 		eng := newEngine(b)
 		defer eng.Close()
 		sess := eng.Session()
-		sink += sess.RunJointParallelEnv(sc.Horizon, 1, env).MetCount() // warm tables + result
+		sink += sess.RunParallelEnv(sc.Horizon, 1, env).MetCount() // warm pools + result
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sess.Reset()
-			sink += sess.RunJointParallelEnv(sc.Horizon, 1, env).MetCount()
+			sink += sess.RunParallelEnv(sc.Horizon, 1, env).MetCount()
 		}
 	})
 }
@@ -488,9 +487,8 @@ func BenchmarkSymmetricPairScan(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRunModes measures Run (the router at one worker, which
-// takes the pairwise scan for a fleet this small) on an 8-agent fleet
-// over 50k slots.
+// BenchmarkEngineRunModes measures Run (the pairwise scan at one
+// worker) on an 8-agent fleet over 50k slots.
 func BenchmarkEngineRunModes(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(2))
@@ -730,7 +728,7 @@ func BenchmarkScenarioOpen(b *testing.B) {
 
 // BenchmarkSymmetricChannelBlock is the §3.2 fill ledger row: one
 // 256-slot ChannelBlock of the flagship wrapper (Symmetric over
-// General), the call the pairwise scans, DensePrefix and Compile make
+// General), the call the pairwise scan and Compile make
 // for every "ours" agent. The start advances each iteration so the
 // inner schedule is evaluated at fresh slots; ns/slot is the per-slot
 // fill cost.

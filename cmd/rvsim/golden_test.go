@@ -29,8 +29,7 @@ var goldenRuns = []struct {
 	{"preset-jammer", []string{"-scenario", "jammer", "-agents", "16", "-n", "32", "-horizon", "8192", "-seed", "11"}},
 	{"preset-sparse", []string{"-scenario", "sparse", "-agents", "64", "-n", "32", "-horizon", "8192", "-seed", "11"}},
 	{"preset-sparse-2k", []string{"-scenario", "sparse", "-agents", "2048", "-n", "128", "-horizon", "8192", "-seed", "3"}},
-	// A 256-agent dense fleet whose 10,630 eligible pairs sit below the
-	// router's floor of 32,768 meetable pairs: it runs the pairwise scan.
+	// A 256-agent dense fleet with 10,630 eligible pairs.
 	{"preset-churn-pu-256", []string{"-scenario", "churn-pu", "-agents", "256", "-n", "128", "-horizon", "8192", "-seed", "3"}},
 	{"preset-overrides", []string{"-scenario", "calm", "-agents", "12", "-n", "16", "-horizon", "4096", "-seed", "11", "-churn", "0.5", "-pu", "2"}},
 	{"explicit-agents", []string{"-n", "64", "-horizon", "500000", "-agent", "base=10,20,30", "-agent", "drone=20,40@25", "-agent", "sensor=30,40@90"}},

@@ -17,9 +17,8 @@
 // (scenario mode supports the first six).
 //
 // -parallel bounds the simulation engine's worker pool (0 = one per
-// CPU); the engine routes each run to its pairwise or time-sharded
-// joint decomposition, and the reported meetings are identical at every
-// setting.
+// CPU); the engine's workers claim chunks of the fleet's meetable
+// pairs, and the reported meetings are identical at every setting.
 package main
 
 import (

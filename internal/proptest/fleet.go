@@ -7,7 +7,6 @@ import (
 	"rendezvous/internal/scenario"
 	"rendezvous/internal/schedule"
 	"rendezvous/internal/simulator"
-	"rendezvous/internal/tablecache"
 )
 
 // FleetCase is one generated network-scale instance: a full Scenario
@@ -105,22 +104,15 @@ func (c FleetCase) Build() ([]simulator.Agent, simulator.Environment, error) {
 	return c.Sc.Build(build)
 }
 
-// CheckFleetEngines is the engine-equivalence oracle: Run (the router
-// at one worker), the pairwise parallel decomposition, and the
-// time-sharded joint engine must all reproduce the brute-force oracle
-// (ReferenceRun, the one per-slot transcription of the slot model)
-// meeting for meeting, under whatever dynamics the scenario has.
-// Oracle-sized fleets sit far below RunParallelEnv's joint floor, so Run
-// and RunParallelEnv run the pairwise decomposition, and the joint
-// decomposition — the inverted posting scan, on these dense fleets — is
-// called directly. The sharded path runs at several worker counts
-// because each count induces a different window partition of the time
-// axis — partition invariance is exactly the property its
-// exact-decomposition argument rests on — and at one worker, whose
-// solo path stops inside its window once every meetable pair has met.
-// When the scenario carries a contact grid, the contact engine must
-// additionally reproduce the oracle restricted to in-range pairs, under
-// both pair-state layouts.
+// CheckFleetEngines is the engine-equivalence oracle: Run and
+// RunParallel must reproduce the brute-force oracle (ReferenceRun, the
+// one per-slot transcription of the slot model) meeting for meeting,
+// under whatever dynamics the scenario has. RunParallel runs at
+// several worker counts because each count splits the pair list into
+// different chunks, and at one worker, whose single chunk shares one
+// block ring across the whole list. When the scenario carries a
+// contact grid, the contact engine must additionally reproduce the
+// oracle restricted to in-range pairs, under both pair-state layouts.
 func CheckFleetEngines(c FleetCase) error {
 	agents, env, err := c.Build()
 	if err != nil {
@@ -134,82 +126,44 @@ func CheckFleetEngines(c FleetCase) error {
 	if err := sameMeetings(want, ResultMeetings(eng.RunEnv(c.Sc.Horizon, env))); err != nil {
 		return fmt.Errorf("Run vs oracle: %w", err)
 	}
-	if err := sameMeetings(want, ResultMeetings(eng.RunParallelEnv(c.Sc.Horizon, 3, env))); err != nil {
-		return fmt.Errorf("pairwise parallel engine vs oracle: %w", err)
-	}
-	for _, workers := range []int{1, 2, 5} {
-		if err := sameMeetings(want, ResultMeetings(eng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
-			return fmt.Errorf("time-sharded joint engine (workers=%d) vs oracle: %w", workers, err)
+	for _, workers := range []int{1, 2, 3, 5} {
+		if err := sameMeetings(want, ResultMeetings(eng.RunParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+			return fmt.Errorf("parallel engine (workers=%d) vs oracle: %w", workers, err)
 		}
 	}
 	// Session reuse: re-running through a Session recycles the result
 	// arrays and every pooled scratch buffer from the runs above. The
 	// recycled state must be invisible — each re-run, at each
-	// partition-inducing worker count, must still reproduce the oracle
+	// chunk-inducing worker count, must still reproduce the oracle
 	// meeting for meeting.
 	sess := eng.Session()
 	defer sess.Close()
 	for _, workers := range []int{2, 5} {
 		sess.Reset()
-		if err := sameMeetings(want, ResultMeetings(sess.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+		if err := sameMeetings(want, ResultMeetings(sess.RunParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
 			return fmt.Errorf("session re-run (workers=%d) vs oracle: %w", workers, err)
 		}
 	}
 	// Eligibility across horizons: the engine caches the meetable count
-	// and the posting scan's met template once for every horizon past
-	// the fleet's last wake, and builds them anew at or below it. The
-	// joint runs at the last wake, just past it and at the full horizon
-	// must each reproduce the oracle's meetings below that horizon,
-	// which are exactly the meetings a reference run to it records.
+	// once for every horizon past the fleet's last wake, and counts anew
+	// at or below it, and each run sizes its pair list from that count.
+	// The session runs at the last wake, just past it and at the full
+	// horizon must each reproduce the oracle's meetings below that
+	// horizon, which are exactly the meetings a reference run to it
+	// records.
 	lastWake := fleetLastWake(agents)
 	for _, h := range []int{max(lastWake, 1), lastWake + 1, c.Sc.Horizon} {
 		if h > c.Sc.Horizon {
 			continue // past the oracle's horizon
 		}
-		if err := sameMeetings(meetingsBefore(want, h), ResultMeetings(sess.RunJointParallelEnv(h, 2, env))); err != nil {
+		if err := sameMeetings(meetingsBefore(want, h), ResultMeetings(sess.RunParallelEnv(h, 2, env))); err != nil {
 			return fmt.Errorf("session re-run at horizon %d (last wake %d) vs oracle: %w", h, lastWake, err)
 		}
-	}
-	if err := checkAscendingHorizons(c, agents, env, want); err != nil {
-		return err
 	}
 	if err := checkCancelledRerun(c, eng, env, want); err != nil {
 		return err
 	}
 	return checkContactEngine(c, agents, env, want)
-}
-
-// checkAscendingHorizons is the prefix-upgrade clause: two fresh
-// engines A and B of the fleet share a fresh table cache. A runs just
-// past the fleet's last wake and B at the full horizon, so the cache's
-// prefix entries take B's longer tables while A still holds its shorter
-// ones; A then re-runs at its own horizon, reading those, and at the
-// full horizon, where it upgrades to B's. Every run must reproduce the
-// oracle's meetings below its horizon.
-func checkAscendingHorizons(c FleetCase, agents []simulator.Agent, env simulator.Environment, want map[[2]string]simulator.Meeting) error {
-	prev := simulator.SetTableCache(tablecache.New(tablecache.DefaultBudget))
-	defer simulator.SetTableCache(prev)
-	a, err := simulator.NewEngine(agents)
-	if err != nil {
-		return fmt.Errorf("engine A: %w", err)
-	}
-	defer a.Close()
-	b, err := simulator.NewEngine(agents)
-	if err != nil {
-		return fmt.Errorf("engine B: %w", err)
-	}
-	defer b.Close()
-	short := min(fleetLastWake(agents)+1, c.Sc.Horizon)
-	for _, run := range []struct {
-		name string
-		eng  *simulator.Engine
-		h    int
-	}{{"A", a, short}, {"B", b, c.Sc.Horizon}, {"A", a, short}, {"A", a, c.Sc.Horizon}} {
-		if err := sameMeetings(meetingsBefore(want, run.h), ResultMeetings(run.eng.RunJointParallelEnv(run.h, 1, env))); err != nil {
-			return fmt.Errorf("ascending horizons: engine %s at horizon %d vs oracle: %w", run.name, run.h, err)
-		}
-	}
-	return nil
 }
 
 // fleetLastWake returns the latest wake slot in the fleet.
@@ -246,7 +200,7 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 		canc := &simulator.Canceler{}
 		canc.CancelAfterPolls(1 + int64(c.Sc.Seed%7))
 		sess.SetCanceler(canc)
-		partial := ResultMeetings(sess.RunJointParallelEnv(c.Sc.Horizon, workers, env))
+		partial := ResultMeetings(sess.RunParallelEnv(c.Sc.Horizon, workers, env))
 		for key, m := range partial {
 			if w, ok := want[key]; !ok || w != m {
 				return fmt.Errorf("cancelled run (workers=%d) recorded %v=%+v, oracle has %+v", workers, key, m, want[key])
@@ -254,7 +208,7 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 		}
 		sess.SetCanceler(nil)
 		sess.Reset()
-		if err := sameMeetings(want, ResultMeetings(sess.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+		if err := sameMeetings(want, ResultMeetings(sess.RunParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
 			return fmt.Errorf("post-cancel session re-run (workers=%d) vs oracle: %w", workers, err)
 		}
 	}
@@ -262,10 +216,10 @@ func checkCancelledRerun(c FleetCase, eng *simulator.Engine, env simulator.Envir
 }
 
 // checkContactEngine is the contact-engine clause of CheckFleetEngines:
-// for gridded scenarios the contact engine, whose contact-edge CSR pair
-// state routes every entry point to the pairwise kernel, must reproduce
-// the brute-force oracle filtered to in-range pairs — exactly those, no
-// others — through Run and at the partition-inducing worker counts.
+// for gridded scenarios the contact engine, on contact-edge CSR pair
+// state, must reproduce the brute-force oracle filtered to in-range
+// pairs — exactly those, no others — through Run and at the
+// chunk-inducing worker counts.
 func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Environment, want map[[2]string]simulator.Meeting) error {
 	graph, err := c.Sc.ContactGraph()
 	if err != nil {
@@ -294,11 +248,11 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 		return fmt.Errorf("contact engine vs in-range oracle: %w", err)
 	}
 	for _, workers := range []int{2, 5} {
-		if err := sameMeetings(filtered, ResultMeetings(ceng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+		if err := sameMeetings(filtered, ResultMeetings(ceng.RunParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
 			return fmt.Errorf("contact engine (workers=%d) vs in-range oracle: %w", workers, err)
 		}
 	}
-	// The pairwise kernel on CSR state must honor the cancelled-prefix +
+	// The scan on CSR state must honor the cancelled-subset +
 	// clean-re-run contract too.
 	if err := checkCancelledRerun(c, ceng, env, filtered); err != nil {
 		return fmt.Errorf("contact engine: %w", err)
@@ -308,10 +262,10 @@ func checkContactEngine(c FleetCase, agents []simulator.Agent, env simulator.Env
 
 // CheckFleetPermutation is the agent-permutation metamorphic oracle:
 // shuffling the order agents are handed to the engine must not change
-// any meeting (names, slots, channels, TTRs). Run routes these small
-// fleets to the pairwise scan, so the shuffled fleet also runs the
-// joint entry point at one worker and at two, which takes it to the
-// posting scan, whose groups and met rows follow the engine's id order.
+// any meeting (names, slots, channels, TTRs). The shuffled fleet also
+// runs at one worker and at two on an engine of its own: NewEngine
+// numbers equal hop sets in input order, so the shuffle moves ids, and
+// with them the pair list's order and chunks.
 func CheckFleetPermutation(c FleetCase) error {
 	agents, env, err := c.Build()
 	if err != nil {
@@ -336,8 +290,8 @@ func CheckFleetPermutation(c FleetCase) error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	for _, workers := range []int{1, 2} {
-		if err := sameMeetings(a, ResultMeetings(eng.RunJointParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
-			return fmt.Errorf("agent permutation changed joint meetings (workers=%d): %w", workers, err)
+		if err := sameMeetings(a, ResultMeetings(eng.RunParallelEnv(c.Sc.Horizon, workers, env))); err != nil {
+			return fmt.Errorf("agent permutation changed parallel meetings (workers=%d): %w", workers, err)
 		}
 	}
 	return nil
@@ -459,8 +413,7 @@ func CheckFleetTimeShift(c FleetCase) error {
 
 // CheckScenarioDeterminism asserts the scenario layer's core contract:
 // Build is a pure function of the Scenario value, the environment is
-// random-access pure, and joint and pairwise runs agree at any worker
-// count.
+// random-access pure, and runs agree at any worker count.
 func CheckScenarioDeterminism(c FleetCase) error {
 	a1, env1, err := c.Build()
 	if err != nil {
@@ -548,7 +501,7 @@ func CheckFleetSummarize(c FleetCase) error {
 	return nil
 }
 
-// runMeetings runs agents on a fresh engine (Run: the router at one
+// runMeetings runs agents on a fresh engine (Run: the scan at one
 // worker) and returns the canonical meeting map.
 func runMeetings(agents []simulator.Agent, horizon int, env simulator.Environment) (map[[2]string]simulator.Meeting, error) {
 	eng, err := simulator.NewEngine(agents)

@@ -57,8 +57,8 @@ func FuzzBlockEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzEngineVsReference: the production engine paths (Run, pairwise
-// parallel, time-sharded posting scans, session and cancelled
+// FuzzEngineVsReference: the production engine paths (Run, the
+// parallel scan at several worker counts, session and cancelled
 // re-runs, and the contact engine under both pair-state layouts)
 // reproduce the brute-force oracle ReferenceRun meeting for meeting on
 // fuzzer-chosen scenarios with churn, primary users, jammers, and

@@ -17,12 +17,11 @@
 //   - metamorphic: channel relabeling, common time-shift, and
 //     agent-permutation invariance must leave meeting structure
 //     unchanged; ChannelBlock ≡ Channel; Compile(s) ≡ s;
-//   - engine equivalence: the integer-indexed block engine, the
-//     pairwise parallel decomposition, and the time-sharded inverted
-//     joint scan on topology-free engines, and the pairwise scan on
-//     contact engines' contact-edge pair state, must agree with an
-//     independent brute-force oracle engine under random scenarios with
-//     churn, primary users, and jammers;
+//   - engine equivalence: the pairwise scan, at every worker count, on
+//     topology-free engines' triangular pair state and on contact
+//     engines' contact-edge pair state, must agree with an independent
+//     brute-force oracle engine under random scenarios with churn,
+//     primary users, and jammers;
 //   - paper bounds: every generated symmetric/asymmetric pair must
 //     rendezvous within its theoretical TTR upper bound;
 //   - scenario determinism: fleet derivation and environment decisions

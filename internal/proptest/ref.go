@@ -9,8 +9,8 @@ import (
 
 // ReferenceRun is the brute-force oracle engine: a literal transcription
 // of the model in the simulator's package doc, sharing none of the
-// engine's machinery. No blocks, no compiled tables, no posting
-// lists, no pair pruning, no early exit — every slot, every pair, raw
+// engine's machinery. No blocks, no compiled tables, no hop masks,
+// no pair pruning, no early exit — every slot, every pair, raw
 // Sched.Channel. O(agents² · horizon), so callers keep instances small.
 //
 // It is the one oracle the engine-equivalence properties and fuzz
@@ -68,7 +68,7 @@ func ResultMeetings(res *simulator.Result) map[[2]string]simulator.Meeting {
 // Channel(t) = π(inner.Channel(t)). Meeting *structure* (who meets
 // whom, at which slot) is invariant under a common relabeling of every
 // agent's schedule — the engine-level metamorphic oracle that pins the
-// channel-index remapping and posting layers.
+// engine's channel handling end to end.
 type Relabeled struct {
 	inner schedule.Schedule
 	pi    map[int]int

@@ -223,9 +223,8 @@ func TestScenarioRunGrid(t *testing.T) {
 // contact fleet, built and simulated end to end inside the CI smoke
 // budget — feasible at all only because every pair structure involved
 // (graph, engine state, summary) is O(contact edges), never
-// O(agents²). It also pins the routing: a contact fleet has
-// contact-edge pair state, so it must take the pairwise scan over its
-// in-range meetable pairs, not any posting path.
+// O(agents²). It also pins the route: a contact fleet has contact-edge
+// pair state, and the pairwise scan walks its in-range meetable pairs.
 func TestSparseFleet100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-agent fleet; skipped in -short")

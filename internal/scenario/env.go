@@ -14,7 +14,8 @@ import (
 // (ch, t): primary-user activity is windowed (each PU is ON for a fixed
 // contiguous stretch of every window, positioned per window by a
 // SplitMix64 draw), and the jammer position is arithmetic on t. That
-// random-access purity is what keeps joint and pairwise runs identical.
+// random-access purity is what keeps runs identical at any worker
+// count.
 type environment struct {
 	seed uint64
 

@@ -8,11 +8,10 @@
 // wake and leave slots, and every Environment decision are derived from
 // Seed via SplitMix64 streams (sweep.DeriveSeed), with no sequential RNG
 // state. In particular Environment.Available(ch, t) is random-access
-// pure, which is what lets both of the engine's parallel decompositions
-// (the pairwise scan and the time-sharded joint scan behind
-// RunParallelEnv) reproduce the joint simulation exactly at any worker
-// count — the determinism invariant every experiment in this repository
-// is built on.
+// pure, which is what lets the engine's parallel decomposition (the
+// pairwise scan behind RunParallelEnv) reproduce the joint simulation
+// exactly at any worker count — the determinism invariant every
+// experiment in this repository is built on.
 package scenario
 
 import (
@@ -241,12 +240,10 @@ func (sc Scenario) Build(build Builder) ([]simulator.Agent, simulator.Environmen
 func agentName(a int) string { return fmt.Sprintf("a%d", a) }
 
 // Run builds the fleet and runs it with the given worker count (≤ 0
-// means GOMAXPROCS). The engine picks its decomposition by fleet size —
-// the pairwise scan for small fleets and the time-sharded joint scan
-// once the meetable-pair count crosses over — except that a gridded
-// fleet, whose pair state is indexed by contact edge, always takes the
-// pairwise scan over its in-range pairs. All of them are exact, so the
-// result is byte-identical at any worker count either way.
+// means GOMAXPROCS). The engine runs the pairwise scan over the
+// fleet's meetable pairs — for a gridded fleet, whose pair state is
+// indexed by contact edge, its in-range ones only. The scan is exact,
+// so the result is byte-identical at any worker count.
 func (sc Scenario) Run(build Builder, workers int) (*simulator.Result, []simulator.Agent, error) {
 	fl, err := sc.Open(build)
 	if err != nil {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -117,12 +116,13 @@ func TestEnvironmentPure(t *testing.T) {
 }
 
 // TestRunMatchesJointUnderDynamics is the scenario-level equivalence
-// regression: under churn + primary users + jammer, the joint engine
-// (RunJointParallelEnv at one worker) and the routed runs (RunEnv and
-// RunParallelEnv), which take the pairwise decomposition at this fleet
-// size, must agree meeting-for-meeting at every worker count. At 64
-// channels the environment blocks none of the fleet's first meetings;
-// at 12 it moves some, so both kernels' channel masking is checked too.
+// regression: under churn + primary users + jammer, the joint
+// simulation — every agent stepped slot by slot together, the model
+// transcribed (jointRun) — and the engine's runs (RunEnv and
+// RunParallelEnv) must agree meeting-for-meeting at every worker count.
+// At 64 channels the environment blocks none of the fleet's first
+// meetings; at 12 it moves some, so the scan's channel masking is
+// checked too.
 func TestRunMatchesJointUnderDynamics(t *testing.T) {
 	for _, n := range []int{64, 12} {
 		sc := testScenario()
@@ -142,11 +142,8 @@ func TestRunMatchesJointUnderDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := eng.RunJointParallelEnv(sc.Horizon, 1, env)
-		if r := eng.LastRoute(); r == simulator.RoutePairwise {
-			t.Fatalf("n=%d: joint oracle routed %v", n, r)
-		}
-		if n == 12 && meetingDiff(eng.RunJointParallelEnv(sc.Horizon, 1, nil), want) == "" {
+		want := jointRun(agents, sc.Horizon, env)
+		if n == 12 && reflect.DeepEqual(jointRun(agents, sc.Horizon, nil), want) {
 			t.Fatalf("n=%d: the environment moved no meeting", n)
 		}
 		runs := []struct {
@@ -158,29 +155,41 @@ func TestRunMatchesJointUnderDynamics(t *testing.T) {
 			{"workers=4", func() *simulator.Result { return eng.RunParallelEnv(sc.Horizon, 4, env) }},
 		}
 		for _, tc := range runs {
-			got := tc.run()
-			if r := eng.LastRoute(); r != simulator.RoutePairwise {
-				t.Fatalf("n=%d %s routed %v, want pairwise (the oracle is the joint engine)", n, tc.name, r)
+			got := map[[2]string]simulator.Meeting{}
+			for _, m := range tc.run().Meetings() {
+				got[[2]string{m.A, m.B}] = m
 			}
-			if d := meetingDiff(got, want); d != "" {
-				t.Fatalf("n=%d %s vs joint: %s", n, tc.name, d)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d %s: %d meetings, the joint simulation %d, or they differ", n, tc.name, len(got), len(want))
 			}
 		}
 	}
 }
 
-// meetingDiff describes the first difference between two results'
-// meeting sets, or returns "" when they are equal.
-func meetingDiff(got, want *simulator.Result) string {
-	if got.MetCount() != want.MetCount() {
-		return fmt.Sprintf("%d meetings, want %d", got.MetCount(), want.MetCount())
-	}
-	for _, m := range want.Meetings() {
-		if g, ok := got.Meeting(m.A, m.B); !ok || g != m {
-			return fmt.Sprintf("meeting %v, want %v (ok=%v)", g, m, ok)
+// jointRun steps every agent together slot by slot and records each
+// pair's first co-hop on an available channel, keyed by name pair in
+// name order.
+func jointRun(agents []simulator.Agent, horizon int, env simulator.Environment) map[[2]string]simulator.Meeting {
+	met := map[[2]string]simulator.Meeting{}
+	active := func(a simulator.Agent, t int) bool { return t >= a.Wake && (a.Leave == 0 || t < a.Leave) }
+	for t := 0; t < horizon; t++ {
+		for i, a := range agents {
+			for _, b := range agents[i+1:] {
+				if !active(a, t) || !active(b, t) {
+					continue
+				}
+				ch := a.Sched.Channel(t - a.Wake)
+				if ch != b.Sched.Channel(t-b.Wake) || (env != nil && !env.Available(ch, t)) {
+					continue
+				}
+				key := [2]string{min(a.Name, b.Name), max(a.Name, b.Name)}
+				if _, done := met[key]; !done {
+					met[key] = simulator.Meeting{A: key[0], B: key[1], Slot: t, Channel: ch, TTR: t - max(a.Wake, b.Wake)}
+				}
+			}
 		}
 	}
-	return ""
+	return met
 }
 
 // TestEnvironmentBlocksMeetings: a jammer camped on the only common

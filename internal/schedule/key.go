@@ -88,8 +88,8 @@ func (s *Symmetric) CacheKey() (string, bool) {
 
 // CacheKey implements CacheKeyer by delegation: a compiled table is a
 // verified equivalent of its inner schedule, so it shares the inner
-// key — which is exactly what lets a dense-table lookup hit whether the
-// compiled wrapper came from the cache or was built locally.
+// key, and a wrapper around it keys the same entry as one around the
+// uncompiled schedule.
 func (c *Compiled) CacheKey() (string, bool) {
 	return KeyOf(c.inner)
 }

@@ -54,8 +54,8 @@ func (s *Symmetric) Channel(t int) int {
 
 // innerBufPool recycles the wrapper's inner-slot buffers: handing a
 // stack array to FillBlock's interface call forces it to the heap, and
-// the joint engine calls ChannelBlock once per agent per block — tens
-// of thousands of times per fleet run.
+// the engine's pairwise scan calls ChannelBlock up to once per agent per
+// window — tens of thousands of times per fleet run.
 var innerBufPool = sync.Pool{New: func() any { return new([32]int) }}
 
 // ChannelBlock implements BlockEvaluator: the inner schedule is

@@ -575,10 +575,11 @@ func (m *Manager) runJob(pool *sessionPool, j *Job) {
 		m.sessionsReused.Add(1)
 	}
 	fs.sess.SetCanceler(j.canc)
-	// Every engine worker allocates its own scan scratch (a joint-scan
-	// worker holds a hit array of 8 bytes per pair slot), so a posted
-	// EngineWorkers past the core count could exhaust the daemon's
-	// memory while adding no speed. Results are identical at any worker
+	// Every engine worker allocates its own scan scratch (a block ring
+	// over the widest id span of the fleet's meetable pairs, and a live
+	// list over its chunk of them), so a posted EngineWorkers past the
+	// core count could exhaust the daemon's memory while adding no
+	// speed. Results are identical at any worker
 	// count, so the clamp changes no bytes, and the spec (and its job
 	// id) stays as posted.
 	workers := min(j.Spec.EngineWorkers, runtime.GOMAXPROCS(0))

@@ -489,9 +489,10 @@ func TestFleetKey(t *testing.T) {
 // takes more than GOMAXPROCS engine workers, each of which allocates
 // its own scan scratch. A job asking for a million workers on a
 // 256-agent fleet must allocate no more than a few MiB beyond the same
-// job at GOMAXPROCS workers (unclamped, the joint scan's 256 windows
-// got a worker and a hit array each: about 70 MiB more), and its
-// result bytes must equal the one-worker job's.
+// job at GOMAXPROCS workers (unclamped, the posting scan this clamp
+// was written for gave each of its 256 windows a worker and a hit
+// array: about 70 MiB more), and its result bytes must equal the
+// one-worker job's.
 func TestEngineWorkersClamped(t *testing.T) {
 	cache := withIsolatedCache(t)
 	mgr := NewManager(Config{Workers: 1, Cache: cache})

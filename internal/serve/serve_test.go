@@ -339,8 +339,8 @@ func TestManagerConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// drainSpec is slow enough (joint env scan over a big fleet) that a
-// zero-deadline drain catches jobs still queued.
+// drainSpec is slow enough (an environment scan over a big fleet) that
+// a zero-deadline drain catches jobs still queued.
 func drainSpec(i int) JobSpec {
 	return JobSpec{
 		Scenario: scenario.Scenario{

@@ -17,20 +17,22 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestGoldenWarmHorizons pins the bytes of posting-scan jobs re-run on
-// one warm session across horizons. A one-worker manager runs a
+// TestGoldenWarmHorizons pins the bytes of 1,024-agent dense jobs re-run
+// on one warm session across horizons. A one-worker manager runs a
 // 1,024-agent fleet shaped like the job benchmark's net1k-warm (N 128,
 // K 4, its churn and primary users) at horizons 8,192, 1,500, 4,096 and
 // 8,192, in that order, on one pooled session: the 1,500 run lies below
 // the fleet's last wake, where pair eligibility differs, and the others
-// past it, where the engine reuses one meetable count and met template.
-// Each JobResult's JSON is hashed into testdata/warm-horizons.golden
-// next to its Coverage; the file was generated before the engine cached
-// eligibility past the last wake and ordered its ids by hop set.
-// Regenerate intentional changes with `make golden` and review the diff.
+// past it, where the engine reuses one meetable count. Each JobResult's
+// JSON is hashed into testdata/warm-horizons.golden next to its
+// Coverage; the file was generated on the time-sharded posting scan
+// that served such fleets before every run took the pairwise scan, and
+// before the engine cached eligibility past the last wake and ordered
+// its ids by hop set. Regenerate intentional changes with `make golden`
+// and review the diff.
 //
 // A replay of the same horizons on an in-test session of the same fleet
-// must route every run to the posting scan and reproduce each job's
+// must record the pairwise route on every run and reproduce each job's
 // Coverage.
 func TestGoldenWarmHorizons(t *testing.T) {
 	sc := scenario.Scenario{
@@ -107,8 +109,8 @@ func TestGoldenWarmHorizons(t *testing.T) {
 	sess := fl.Eng.Session()
 	for i, h := range horizons {
 		cov := fl.Summarize(sess.RunParallelEnv(h, 1, fl.Env), h)
-		if r := fl.Eng.LastRoute(); r != simulator.RouteInverted {
-			t.Errorf("horizon %d: routed %v with %d eligible pairs, want inverted", h, r, cov.EligiblePairs)
+		if r := fl.Eng.LastRoute(); r != simulator.RoutePairwise {
+			t.Errorf("horizon %d: routed %v with %d eligible pairs, want pairwise", h, r, cov.EligiblePairs)
 		}
 		if cov != results[i].Coverage {
 			t.Errorf("horizon %d: replay coverage %+v, job %+v", h, cov, results[i].Coverage)

@@ -3,15 +3,14 @@ package simulator
 import "sync/atomic"
 
 // Canceler is the cooperative stop seam for a run: fire Cancel from any
-// goroutine and every scan kernel of the run observing it — pairwise
-// and the time-sharded posting scan — stops at its next block-window
-// boundary. The check discipline is one poll per 256-slot block per
-// worker — in the pairwise scan, per live pair and window — plus one
-// per window or chunk claim, so an uncancelled run pays a handful of
-// atomic loads per scan, nothing per slot.
+// goroutine and every worker of the run's pairwise scan stops at its
+// next block-window boundary. The check discipline is one poll per live
+// pair per 256-slot window, plus one per chunk claim, so an
+// uncancelled run pays a handful of atomic loads per pair and window,
+// nothing per slot.
 //
 // A cancelled run returns a partial Result: some subset of the true
-// first meetings (every hit it did record is exact — kernels record
+// first meetings (every hit it did record is exact — the scan records
 // only genuine first meetings — but pairs may be missing and, on
 // multi-worker runs, which subset depends on scheduling). What is
 // guaranteed, and what the cancellation proptest clause enforces, is
@@ -39,8 +38,8 @@ func (c *Canceler) Cancel() {
 }
 
 // Canceled reports whether the stop has been requested. A cheap single
-// atomic load — callers outside the kernels (window-claim loops, the
-// serve layer's post-run status check) use this rather than poll so the
+// atomic load — callers outside the scan (chunk-claim loops, the serve
+// layer's post-run status check) use this rather than poll so the
 // CancelAfterPolls budget counts only block-boundary checks.
 func (c *Canceler) Canceled() bool {
 	return c != nil && c.flag.Load()
@@ -58,7 +57,7 @@ func (c *Canceler) CancelAfterPolls(n int64) {
 	c.armed.Store(true)
 }
 
-// poll is the per-block check the scan kernels make: true once the run
+// poll is the per-block check the scan makes: true once the run
 // should stop. Nil-safe so un-cancellable runs thread a nil receiver
 // through the same code path.
 func (c *Canceler) poll() bool {

@@ -63,8 +63,7 @@ func TestChurnLeaveSuppressesMeetings(t *testing.T) {
 		}
 	}
 	check(eng.Run(100), "Run")
-	check(eng.RunJointParallel(100, 1), "joint")
-	check(eng.RunParallel(100, 4), "pairwise")
+	check(eng.RunParallel(100, 4), "RunParallel(4)")
 }
 
 // TestRunEnvNilMatchesRun: a nil environment is exactly the static run.
@@ -86,8 +85,8 @@ func TestRunEnvNilMatchesRun(t *testing.T) {
 
 // TestEnvironmentDefersMeetings: an environment that blocks even slots
 // must push first meetings to the first odd collision slot, identically
-// on the joint and pairwise paths, and an environment blocking the only
-// common channel must suppress them entirely.
+// at one worker and at two, and an environment blocking the only common
+// channel must suppress them entirely.
 func TestEnvironmentDefersMeetings(t *testing.T) {
 	a := mustCyclic(t, []int{5})
 	b := mustCyclic(t, []int{5})
@@ -98,19 +97,19 @@ func TestEnvironmentDefersMeetings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, res := range map[string]*Result{
-		"joint":    eng.RunJointParallelEnv(100, 1, evenSlotsBlocked{}),
-		"pairwise": eng.RunParallelEnv(100, 2, evenSlotsBlocked{}),
+		"workers=1": eng.RunEnv(100, evenSlotsBlocked{}),
+		"workers=2": eng.RunParallelEnv(100, 2, evenSlotsBlocked{}),
 	} {
 		m, ok := res.Meeting("a", "b")
 		if !ok || m.Slot != 1 {
 			t.Fatalf("%s: want first meeting at slot 1, got %+v ok=%v", label, m, ok)
 		}
 	}
-	if res := eng.RunJointParallelEnv(100, 1, channelBlocked(5)); res.MetCount() != 0 {
-		t.Fatalf("blocked channel still met (joint): %d", res.MetCount())
+	if res := eng.RunEnv(100, channelBlocked(5)); res.MetCount() != 0 {
+		t.Fatalf("blocked channel still met (workers=1): %d", res.MetCount())
 	}
 	if res := eng.RunParallelEnv(100, 2, channelBlocked(5)); res.MetCount() != 0 {
-		t.Fatalf("blocked channel still met (pairwise): %d", res.MetCount())
+		t.Fatalf("blocked channel still met (workers=2): %d", res.MetCount())
 	}
 }
 

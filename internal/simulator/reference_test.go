@@ -11,9 +11,8 @@ import (
 	"rendezvous/internal/simulator"
 )
 
-// TestEngineBlockEquivalence requires Run, RunParallel (at several
-// worker counts) and the joint engine at one worker to reproduce the
-// brute-force per-slot oracle,
+// TestEngineBlockEquivalence requires Run and RunParallel (at several
+// worker counts) to reproduce the brute-force per-slot oracle,
 // proptest.ReferenceRun, meeting for meeting over randomized
 // multi-agent fleets drawn from every schedule family.
 func TestEngineBlockEquivalence(t *testing.T) {
@@ -41,7 +40,6 @@ func TestEngineBlockEquivalence(t *testing.T) {
 			"RunParallel(1)":       eng.RunParallel(horizon, 1),
 			"RunParallel(4)":       eng.RunParallel(horizon, 4),
 			"RunParallel(default)": eng.RunParallel(horizon, 0),
-			"RunJointParallel(1)":  eng.RunJointParallel(horizon, 1),
 		} {
 			if got := proptest.ResultMeetings(res); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: %s diverged from the reference run:\n got %v\nwant %v",
@@ -72,8 +70,7 @@ func benchFleet(tb testing.TB, size int) []simulator.Agent {
 // TestIndexedEngineMatchesReference checks a 24-agent MULTI fleet over
 // a 30,000-slot horizon — long enough for the compiled hop tables and
 // several block windows — against proptest.ReferenceRun, through Run
-// (the router at one worker), the pairwise decomposition, and the
-// time-sharded inverted scan at one worker and at two.
+// and RunParallel at two and at three workers.
 func TestIndexedEngineMatchesReference(t *testing.T) {
 	agents := benchFleet(t, 24)
 	const horizon = 30_000
@@ -83,10 +80,9 @@ func TestIndexedEngineMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, res := range map[string]*simulator.Result{
-		"Run":                 eng.Run(horizon),
-		"RunParallel(2)":      eng.RunParallel(horizon, 2),
-		"RunJointParallel(1)": eng.RunJointParallel(horizon, 1),
-		"RunJointParallel(2)": eng.RunJointParallel(horizon, 2),
+		"Run":            eng.Run(horizon),
+		"RunParallel(2)": eng.RunParallel(horizon, 2),
+		"RunParallel(3)": eng.RunParallel(horizon, 3),
 	} {
 		if got := proptest.ResultMeetings(res); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s diverged from the reference run: %d meetings, reference %d", name, len(got), len(want))
@@ -94,7 +90,7 @@ func TestIndexedEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineCore measures Run (the router at one worker) on growing
+// BenchmarkEngineCore measures Run (the scan at one worker) on growing
 // MULTI fleets, the fleet-core refactor's benchmark.
 func BenchmarkEngineCore(b *testing.B) {
 	for _, size := range []int{16, 64, 128} {

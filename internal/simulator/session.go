@@ -2,10 +2,10 @@ package simulator
 
 // Session re-runs one engine's fleet shape with a recycled Result, so a
 // steady-state re-run (same fleet, any horizon/environment) performs
-// ~zero allocations: the engine's pooled scratch — block buffers, hit
-// arrays, posting index, seen bitsets, pair state — already survives
-// across runs, and the session closes the last gap by reusing the
-// O(pairs) result arrays too. This is the reuse layer sweep drivers and
+// ~zero allocations: the engine's pooled scratch — the pair list, the
+// block rings, the compiled tables — already survives across runs, and
+// the session closes the last gap by reusing the O(pairs) result arrays
+// too. This is the reuse layer sweep drivers and
 // a long-running rvserve sit on: build the engine once, then run many.
 //
 // A session is NOT safe for concurrent use — each run rewrites the one
@@ -69,7 +69,8 @@ func (s *Session) result(horizon int) *Result {
 
 // reset rewinds a result for reuse: the met bitset and count are
 // cleared; slot/channel/ttr stay dirty, which is sound because every
-// reader guards on the met bit.
+// reader guards on the met bit, and a run marks each pair it scans
+// unmet before scanning it.
 func (r *Result) reset(horizon int) {
 	r.Horizon = horizon
 	clear(r.met)
@@ -94,11 +95,5 @@ func (s *Session) RunParallel(horizon, workers int) *Result {
 // RunParallelEnv is Engine.RunParallelEnv into the session's recycled
 // result.
 func (s *Session) RunParallelEnv(horizon, workers int, env Environment) *Result {
-	return s.e.runParallelEnvInto(s.result(horizon), horizon, workers, env, s.canc)
-}
-
-// RunJointParallelEnv is Engine.RunJointParallelEnv into the session's
-// recycled result.
-func (s *Session) RunJointParallelEnv(horizon, workers int, env Environment) *Result {
-	return s.e.runJointParallelEnvInto(s.result(horizon), horizon, workers, env, s.e.meetablePairs(horizon), s.canc)
+	return s.e.runPairwiseEnvInto(s.result(horizon), horizon, workers, env, s.canc)
 }

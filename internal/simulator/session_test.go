@@ -26,9 +26,9 @@ func sessionFleet(t *testing.T, agents int) []Agent {
 // TestSessionSteadyStateAllocs pins the tentpole's amortization claim:
 // once an engine and session are warm, a steady-state re-run allocates
 // at most 1% of what a cold engine-per-run loop allocates — the result
-// arrays, pair state, scratch pools and hop tables all survive. Both
-// one-worker decompositions are held to it: Run, which takes the
-// pairwise scan on this fleet, and the joint engine's solo path.
+// arrays, pair list, block rings and hop tables all survive. Run, at
+// one worker, and RunParallelEnv at two, whose chunks run on two
+// goroutines, are both held to it.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-runtime allocations; the plain build enforces this gate")
@@ -55,8 +55,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 
 	for name, run := range map[string]func(*Session) *Result{
-		"Run":   func(s *Session) *Result { return s.Run(horizon) },
-		"joint": func(s *Session) *Result { return s.RunJointParallelEnv(horizon, 1, nil) },
+		"Run":               func(s *Session) *Result { return s.Run(horizon) },
+		"RunParallelEnv(2)": func(s *Session) *Result { return s.RunParallelEnv(horizon, 2, nil) },
 	} {
 		SetTableCache(tablecache.New(tablecache.DefaultBudget))
 		eng, err := NewEngine(agents)
@@ -83,8 +83,10 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 // TestSessionCacheBudgetIndependence is the budget-is-bookkeeping
 // invariant: the same fleet run under a thrashing 1-byte cache, with
 // caching disabled outright, and under a normal budget must produce
-// identical meetings. Cached tables are immutable, so eviction pressure
-// may only cost time, never change a result.
+// identical meetings. The fleet's periods are far below half the
+// horizon, so every run compiles its schedules through the cache.
+// Cached tables are immutable, so eviction pressure may only cost time,
+// never change a result.
 func TestSessionCacheBudgetIndependence(t *testing.T) {
 	agents := sessionFleet(t, 24)
 	const horizon = 4096
@@ -99,14 +101,16 @@ func TestSessionCacheBudgetIndependence(t *testing.T) {
 		defer eng.Close()
 		sess := eng.Session()
 		defer sess.Close()
-		// The joint engine borrows every table layer: compiled, dense
-		// and horizon-prefix tables.
-		return sess.RunJointParallelEnv(horizon, 1, nil).Meetings()
+		return sess.RunParallelEnv(horizon, 1, nil).Meetings()
 	}
 
-	want := run(tablecache.New(tablecache.DefaultBudget))
+	normal := tablecache.New(tablecache.DefaultBudget)
+	want := run(normal)
 	if len(want) == 0 {
 		t.Fatal("fleet never met — budgets compared nothing")
+	}
+	if st := normal.Stats(); st.Misses == 0 {
+		t.Fatalf("the run compiled nothing through the cache: %+v", st)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -121,10 +125,8 @@ func TestSessionCacheBudgetIndependence(t *testing.T) {
 	}
 }
 
-// prefixFleet builds agents whose cyclic periods exceed twice every
-// horizon the test runs, so no schedule compiles and every run goes
-// through the horizon-prefix table path — the one whose tables a
-// longer horizon replaces.
+// prefixFleet builds agents whose cyclic period is the given length,
+// so no schedule compiles at horizons below twice that.
 func prefixFleet(t *testing.T, agents, period int) []Agent {
 	t.Helper()
 	fleet := make([]Agent, agents)
@@ -144,7 +146,7 @@ func prefixFleet(t *testing.T, agents, period int) []Agent {
 // reader must guard on the met bit. A session run at a large horizon,
 // then re-run at a small one, then grown again must agree exactly —
 // meetings, met counts, and per-pair misses — with fresh single-use
-// engines running the other decomposition at each horizon. A reader
+// engines run through the per-slot oracle at each horizon. A reader
 // that ever consulted a stale slot/channel/ttr entry (recorded beyond
 // the shrunken horizon) would diverge here.
 func TestSessionShrinkThenGrowHorizon(t *testing.T) {
@@ -175,7 +177,7 @@ func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fresh.Close()
-		want := fresh.RunJointParallel(horizon, 1)
+		want := slotRun(fresh, horizon, nil)
 		if got.MetCount() != want.MetCount() {
 			t.Fatalf("horizon %d: session met %d pairs, fresh engine %d", horizon, got.MetCount(), want.MetCount())
 		}
@@ -205,11 +207,11 @@ func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 }
 
 // TestEligibilityReusedPastLastWake pins the effective-horizon key of
-// the eligibility caches: on a fleet whose last wake is below 4,096,
-// horizons 4,096 and 8,192 share one meetable count and one met
-// template (the same backing arrays), while a horizon at or below the
-// last wake rebuilds both. Every count must match a quadratic recount
-// over the input fleet.
+// the meetable-pair cache: on a fleet whose last wake is below 4,096,
+// horizons 4,096 and 8,192 share one cached count, while a horizon at
+// or below the last wake counts again. Every count must match a
+// quadratic recount over the input fleet, and each run's pair list,
+// sized from it, must give the oracle's meetings.
 func TestEligibilityReusedPastLastWake(t *testing.T) {
 	fleet := jointTestFleet(t, rand.New(rand.NewSource(131)), 40)
 	eng, err := NewEngine(fleet)
@@ -235,10 +237,9 @@ func TestEligibilityReusedPastLastWake(t *testing.T) {
 		}
 		return n
 	}
-	// check runs both caches at horizon and reports the template and
-	// full-mask arrays, after asserting the count and the key it is
-	// cached under.
-	check := func(horizon, key int) (tmpl, full []uint64) {
+	// check counts at horizon, asserting the count and the key it is
+	// cached under, and runs the fleet there against the oracle.
+	check := func(horizon, key int) {
 		t.Helper()
 		if got, want := eng.meetablePairs(horizon), recount(horizon); got != want {
 			t.Fatalf("horizon %d: %d meetable pairs, quadratic recount %d", horizon, got, want)
@@ -246,27 +247,17 @@ func TestEligibilityReusedPastLastWake(t *testing.T) {
 		if eng.meetableHorizon != key {
 			t.Fatalf("horizon %d: meetable count cached at horizon %d, want %d", horizon, eng.meetableHorizon, key)
 		}
-		tmpl, full = eng.metSeed(horizon)
-		if eng.metSeedHorizon != key {
-			t.Fatalf("horizon %d: met template cached at horizon %d, want %d", horizon, eng.metSeedHorizon, key)
+		if got, want := renderMeetings(eng.RunParallel(horizon, 2)), renderMeetings(slotRun(eng, horizon, nil)); got != want {
+			t.Fatalf("horizon %d: run diverged from the oracle", horizon)
 		}
-		return tmpl, full
 	}
-	t4, f4 := check(4096, lastWake+1)
-	t8, f8 := check(8192, lastWake+1)
-	if &t4[0] != &t8[0] || &f4[0] != &f8[0] {
-		t.Fatal("horizons 4,096 and 8,192 lie past the last wake, but the met template was rebuilt")
-	}
+	check(4096, lastWake+1)
+	check(8192, lastWake+1)
 	if recount(lastWake) >= recount(lastWake+1) {
 		t.Fatal("fixture: the last waker adds no meetable pair, so no horizon at the last wake differs")
 	}
-	tl, fl := check(lastWake, lastWake)
-	if &tl[0] == &t8[0] || &fl[0] == &f8[0] {
-		t.Fatal("the horizon at the last wake reused the template of the horizons past it")
-	}
-	if again, _ := check(8192, lastWake+1); &again[0] == &tl[0] {
-		t.Fatal("horizon 8,192 reused the template of the horizon at the last wake")
-	}
+	check(lastWake, lastWake)
+	check(8192, lastWake+1)
 }
 
 // TestEligibleHorizonAtHugeWake pins the effective horizon's overflow
@@ -290,32 +281,30 @@ func TestEligibleHorizonAtHugeWake(t *testing.T) {
 
 // TestEngineCloseThenRunRepins pins Close's reuse contract: a run
 // issued after Close may borrow fresh tables from the cache (here,
-// longer prefix tables for a horizon past the ones the engine holds);
-// those pins are re-tracked on the engine and the next Close releases
-// them — no pin survives the last Close, at any call order.
+// compiled tables for the first horizon that spans two periods); those
+// pins are re-tracked on the engine and the next Close releases them —
+// no pin survives the last Close, at any call order.
 func TestEngineCloseThenRunRepins(t *testing.T) {
 	cache := tablecache.New(tablecache.DefaultBudget)
 	prev := SetTableCache(cache)
 	defer SetTableCache(prev)
 
-	eng, err := NewEngine(prefixFleet(t, 6, 3000))
+	const period = 300
+	eng, err := NewEngine(prefixFleet(t, 6, period))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pairwise runs build no tables, so the test forces the joint engine.
-	if eng.RunJointParallel(512, 1).MetCount() == 0 {
+	// Below two periods no schedule compiles, so the run pins nothing.
+	if eng.Run(2*period-1).MetCount() == 0 {
 		t.Fatal("fleet never met — nothing exercised")
 	}
-	if s := cache.Stats(); s.Pinned == 0 {
-		t.Fatalf("first run pinned nothing (stats %+v) — fleet does not exercise the cache", s)
+	if s := cache.Stats(); s.Pinned != 0 || s.Misses != 0 {
+		t.Fatalf("a run below two periods touched the cache: %+v", s)
 	}
 	eng.Close()
-	if s := cache.Stats(); s.Pinned != 0 || s.Refs != 0 {
-		t.Fatalf("pins survive Close: %+v", s)
-	}
 
-	// Run after Close at a new horizon: borrows and pins anew.
-	eng.RunJointParallel(768, 1)
+	// Run after Close at two periods: compiles, borrows and pins anew.
+	eng.Run(2 * period)
 	if s := cache.Stats(); s.Pinned == 0 {
 		t.Fatalf("run after Close did not re-track its pins: %+v", s)
 	}
@@ -323,116 +312,11 @@ func TestEngineCloseThenRunRepins(t *testing.T) {
 	if s := cache.Stats(); s.Pinned != 0 || s.Refs != 0 {
 		t.Fatalf("re-tracked pins survive the second Close: %+v", s)
 	}
-}
-
-// TestPrefixPinsReleasedOnHorizonChange pins the long-running-caller
-// contract: an engine whose horizons keep growing replaces each agent's
-// prefix table with a longer one, and must swap the agent's pin as it
-// goes. Were the replaced tables' pins kept until Close, every horizon
-// would leak a table set the cache could never evict.
-func TestPrefixPinsReleasedOnHorizonChange(t *testing.T) {
-	cache := tablecache.New(tablecache.DefaultBudget)
-	prev := SetTableCache(cache)
-	defer SetTableCache(prev)
-
-	const agents = 6
-	eng, err := NewEngine(prefixFleet(t, agents, 5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess := eng.Session()
-
-	var after []int64
-	for _, horizon := range []int{256, 512, 768, 1024, 1280, 1536} {
-		sess.RunJointParallelEnv(horizon, 1, nil) // pairwise runs build no tables
-		after = append(after, cache.Stats().Refs)
-	}
-	// Every horizon pins exactly one prefix table per agent; replacing
-	// an agent's table must drop its pin, so the outstanding count stays
-	// flat instead of climbing by `agents` per horizon.
-	for i, refs := range after {
-		if refs != after[0] {
-			t.Fatalf("outstanding pins climbed across horizons: %v (leaked prefix pins)", after)
-		}
-		if i == 0 && refs != agents {
-			t.Fatalf("first horizon pinned %d tables, want %d (one prefix table per agent)", refs, agents)
-		}
-	}
-}
-
-// TestPrefixTablesServeShorterHorizons pins the one-table-per-agent
-// rule: an agent's prefix table serves every horizon it covers, so a
-// session moving between horizons builds tables only when a horizon
-// past every earlier one arrives, and reads the longest table's prefix
-// otherwise without touching the cache. The cache holds one entry per
-// agent, the session one pin per agent, and each run's meetings match
-// a fresh engine's, whose private tables end at exactly that horizon.
-// A second engine on the same cache then borrows the longest tables for
-// a shorter horizon without adding an entry.
-func TestPrefixTablesServeShorterHorizons(t *testing.T) {
-	const agents = 6
-	fleet := prefixFleet(t, agents, 5000)
-	fresh := func(horizon int) []Meeting {
-		t.Helper()
-		prev := SetTableCache(nil)
-		eng, err := NewEngine(fleet)
-		SetTableCache(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng.RunJointParallelEnv(horizon, 1, nil).Meetings()
-	}
-	cache := tablecache.New(tablecache.DefaultBudget)
-	prev := SetTableCache(cache)
-	defer SetTableCache(prev)
-
-	eng, err := NewEngine(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess := eng.Session()
-	defer sess.Close()
-	longest := 0
-	for _, horizon := range []int{1024, 512, 768, 1024, 1536, 256, 1536} {
-		before := cache.Stats()
-		got := sess.RunJointParallelEnv(horizon, 1, nil).Meetings()
-		after := cache.Stats()
-		if want := fresh(horizon); len(got) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("horizon %d: session met %d pairs, a fresh engine %d, or the meetings differ", horizon, len(got), len(want))
-		}
-		builds, lookups := after.Misses-before.Misses, after.Hits+after.Misses-before.Hits-before.Misses
-		if horizon > longest {
-			longest = horizon
-			if builds != agents || lookups != agents {
-				t.Fatalf("horizon %d: %d builds in %d lookups, want %d of each (one longer table per agent)", horizon, builds, lookups, agents)
-			}
-		} else if lookups != 0 {
-			t.Fatalf("horizon %d lies within the %d-slot tables, yet the run made %d cache lookups", horizon, longest, lookups)
-		}
-		if after.Entries != agents || after.Refs != agents || after.Bytes != int64(agents*4*longest) {
-			t.Fatalf("horizon %d: cache %+v; want %d entries of %d slots, one pin each", horizon, after, agents, longest)
-		}
-	}
-
-	other, err := NewEngine(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	before := cache.Stats()
-	if got, want := other.RunJointParallelEnv(300, 1, nil).Meetings(), fresh(300); !reflect.DeepEqual(got, want) {
-		t.Fatalf("horizon 300 on a second engine: %d meetings, a fresh private engine %d", len(got), len(want))
-	}
-	after := cache.Stats()
-	if after.Hits-before.Hits != agents || after.Misses != before.Misses || after.Entries != agents {
-		t.Fatalf("second engine at horizon 300: cache %+v after %+v; want %d hits on the existing entries and nothing built", after, before, agents)
-	}
-	for i, d := range other.dense {
-		if d.Len() != longest {
-			t.Fatalf("second engine: agent %d reads a %d-slot table, want the %d-slot one", i, d.Len(), longest)
-		}
+	// The engine keeps its compiled tables: a later run reads them
+	// without pinning again.
+	eng.Run(4 * period)
+	if s := cache.Stats(); s.Pinned != 0 {
+		t.Fatalf("a run on compiled tables the engine holds pinned again: %+v", s)
 	}
 }
 
@@ -444,10 +328,9 @@ func simRestoreCache(t *testing.T) func() {
 	return func() { SetTableCache(prev) }
 }
 
-// TestPairwiseRunBuildsNoTables pins the pairwise path's table
-// footprint: its scans read schedules only, so a pairwise run over
-// schedules too long to compile leaves nothing in the table cache —
-// no dense or horizon-prefix tables it would never read.
+// TestPairwiseRunBuildsNoTables pins the scan's table footprint: it
+// reads schedules only, so a run over schedules too long to compile
+// leaves nothing in the table cache.
 func TestPairwiseRunBuildsNoTables(t *testing.T) {
 	cache := tablecache.New(tablecache.DefaultBudget)
 	prev := SetTableCache(cache)

@@ -285,9 +285,9 @@ func intersectionSize(a, b []int) int {
 	return count
 }
 
-// TestRunParallelMatchesRun: the pairwise decomposition, which Run and
-// RunParallel take for a fleet this small, must reproduce the joint
-// simulation exactly, at every worker count.
+// TestRunParallelMatchesRun: Run and RunParallel must reproduce the
+// per-slot oracle exactly, at every worker count, and, on a mixed fleet
+// with churn, under environments too.
 func TestRunParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var agents []Agent
@@ -305,7 +305,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 20_000
-	want := eng.RunJointParallel(horizon, 1)
+	want := slotRun(eng, horizon, nil)
 	if got := eng.Run(horizon).Meetings(); !reflect.DeepEqual(got, want.Meetings()) {
 		t.Fatalf("Run: %v, want %v", got, want.Meetings())
 	}
@@ -318,6 +318,18 @@ func TestRunParallelMatchesRun(t *testing.T) {
 			g, ok := got.Meeting(m.A, m.B)
 			if !ok || g != m {
 				t.Fatalf("workers=%d: meeting %v != %v (ok=%v)", workers, g, m, ok)
+			}
+		}
+	}
+	mixed, err := NewEngine(jointTestFleet(t, rand.New(rand.NewSource(23)), 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range []Environment{nil, evenSlotsBlocked{}, channelBlocked(3)} {
+		want := renderMeetings(slotRun(mixed, 3000, env))
+		for _, workers := range []int{0, 1, 2, 5, 16} {
+			if got := renderMeetings(mixed.RunParallelEnv(3000, workers, env)); got != want {
+				t.Fatalf("mixed fleet env=%v workers=%d: got %s want %s", env, workers, got, want)
 			}
 		}
 	}
@@ -350,9 +362,9 @@ func TestRunParallelDynamicSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 2000
-	want := eng.RunJointParallel(horizon, 1)
+	want := slotRun(eng, horizon, nil)
 	if len(want.Meetings()) != 1 {
-		t.Fatalf("joint engine should record the phase-0 meeting, got %d", len(want.Meetings()))
+		t.Fatalf("the oracle should record the phase-0 meeting, got %d", len(want.Meetings()))
 	}
 	for _, workers := range []int{1, 4} {
 		got := eng.RunParallel(horizon, workers)

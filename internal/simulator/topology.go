@@ -26,14 +26,7 @@ import (
 // range, so a 3×3 neighborhood is three contiguous id ranges (one per
 // cell row) and the forward-edge build walks exactly those. Pair state
 // is indexed by contact-edge id (CSR over forward neighbors) at every
-// fleet size. It has no met rows for the posting scan to seed, so
-// every run on a contact engine takes the pairwise scan over the
-// in-range meetable pairs. Small contact fleets get no triangular
-// layout for the inverted scan either, because it loses there too:
-// `rvsim -scenario sparse -n 128 -horizon 8192 -parallel 1` on 2,048,
-// 3,000 and 4,000 agents (seeds 3 and 5, one run each, 2-vCPU Xeon VM,
-// go1.24.0) took 0.66–1.34 s on triangular state with the inverted scan
-// and 0.04–0.11 s on edge state, with identical reports.
+// fleet size, and a run scans the in-range meetable pairs only.
 
 // ContactTopology places each agent of a fleet on a grid of square
 // cells and bounds rendezvous to pairs within Radius of each other.
@@ -83,8 +76,8 @@ func (ct *ContactTopology) validate(n int) error {
 // pair-state slots. Without a contact topology it is the classic
 // triangular index over all pairs; with one it admits only contact
 // edges and indexes them by forward-edge id. Slot order is
-// lexicographic in (i, j) in both, which the sharded merge and the
-// pairwise scan's block ring rely on.
+// lexicographic in (i, j) in both, which the pairwise scan's block
+// ring relies on.
 type pairSpace struct {
 	n     int
 	slots int
@@ -139,24 +132,17 @@ func (ps *pairSpace) forEach(f func(p, i, j int)) {
 	}
 }
 
-// Route identifies which evaluation strategy a run took. The choice is
-// purely about speed and memory — every route computes the identical
-// Result (the proptest oracles pin this) — but silent routing has
-// burned us before (fleets past a since-removed 4,096-agent posting cap
-// quietly fell off the fast path), so the engine records its last
-// decision for tests, benches, and telemetry to observe. The decision
-// is a pure function of the fleet, the horizon, and the entry point
-// called.
+// Route identifies which evaluation strategy a run took, for tests,
+// benches, and telemetry to observe. Every run takes the pairwise scan,
+// so a run records RoutePairwise; RouteNone marks an engine that has
+// not run yet.
 type Route int32
 
 const (
-	// RouteNone: no run has completed on this engine yet.
+	// RouteNone: no run has started on this engine yet.
 	RouteNone Route = iota
 	// RoutePairwise: independent per-pair scans over the horizon.
 	RoutePairwise
-	// RouteInverted: the time-sharded posting-list scan, at any fleet
-	// size whose met template fits the posting scan's memory budget.
-	RouteInverted
 )
 
 // String names the route for test failures and logs.
@@ -166,15 +152,12 @@ func (r Route) String() string {
 		return "none"
 	case RoutePairwise:
 		return "pairwise"
-	case RouteInverted:
-		return "inverted"
 	}
 	return fmt.Sprintf("route(%d)", int32(r))
 }
 
 // LastRoute reports the evaluation strategy of the engine's most
-// recently started run (RouteNone before any run). Concurrent runs
-// race benignly on the record: each stores its own decision.
+// recently started run (RouteNone before any run).
 func (e *Engine) LastRoute() Route { return Route(e.lastRoute.Load()) }
 
 func (e *Engine) setRoute(r Route) { e.lastRoute.Store(int32(r)) }
@@ -189,8 +172,7 @@ func (e *Engine) Edges() int { return e.ps.slots }
 // they hop. Agents are reordered cell-major internally (the Result API
 // is name-keyed, so callers never observe the permutation), and pair
 // state is indexed by contact edge (CSR), O(contact edges) at every
-// fleet size. Every run on the engine, from either entry point, takes
-// the pairwise scan (RoutePairwise) over the in-range meetable pairs.
+// fleet size, and every run scans the in-range meetable pairs only.
 func NewEngineContact(agents []Agent, topo *ContactTopology) (*Engine, error) {
 	if topo == nil {
 		return NewEngine(agents)

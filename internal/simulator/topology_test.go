@@ -1,7 +1,6 @@
 package simulator
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -134,10 +133,10 @@ func TestEngineEdges(t *testing.T) {
 
 // TestContactEngineMatchesFilteredDense is the contact engine's
 // defining equivalence: against the same fleet on a topology-free
-// engine, whose joint entry point runs the inverted scan, a contact
-// engine (pairwise, on contact-edge CSR state) reports exactly the
-// dense meetings of in-range pairs and nothing for out-of-range pairs —
-// at several worker counts, with and without a hostile environment.
+// engine, run through the per-slot oracle, a contact engine (on
+// contact-edge CSR state) reports exactly the dense meetings of
+// in-range pairs and nothing for out-of-range pairs — at several worker
+// counts, with and without a hostile environment.
 func TestContactEngineMatchesFilteredDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 3; trial++ {
@@ -150,15 +149,9 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 		if trial%2 == 1 {
 			env = evenSlotsBlocked{}
 		}
-		denseRes := dense.RunJointParallelEnv(horizon, 1, env)
-		if r := dense.LastRoute(); r != RouteInverted {
-			t.Fatalf("trial %d: topology-free joint run routed %v, want inverted", trial, r)
-		}
+		denseRes := slotRun(dense, horizon, env)
 		for _, workers := range []int{1, 2, 5} {
-			res := eng.RunJointParallelEnv(horizon, workers, env)
-			if r := eng.LastRoute(); r != RoutePairwise {
-				t.Fatalf("trial %d workers=%d: contact joint run routed %v, want pairwise", trial, workers, r)
-			}
+			res := eng.RunParallelEnv(horizon, workers, env)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					a, b := fleet[i].Name, fleet[j].Name
@@ -180,11 +173,9 @@ func TestContactEngineMatchesFilteredDense(t *testing.T) {
 	}
 }
 
-// TestContactRouteObserved pins the routing observability: a contact
-// engine reports RoutePairwise even from the joint entry point, since
-// no posting kernel takes its contact-edge CSR state, and RunEnv
-// reports the router's choice — pairwise, for a fleet this far below
-// jointPairFloor.
+// TestContactRouteObserved pins the routing observability on a contact
+// engine: RouteNone before any run, and RoutePairwise after a run from
+// either entry point.
 func TestContactRouteObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	fleet := jointTestFleet(t, rng, 24)
@@ -196,90 +187,13 @@ func TestContactRouteObserved(t *testing.T) {
 	if r := eng.LastRoute(); r != RouteNone {
 		t.Fatalf("fresh engine LastRoute = %v, want none", r)
 	}
-	eng.RunJointParallelEnv(800, 2, nil)
+	eng.RunParallelEnv(800, 2, nil)
 	if r := eng.LastRoute(); r != RoutePairwise {
-		t.Fatalf("joint run on a contact engine routed %v, want pairwise", r)
+		t.Fatalf("RunParallelEnv on a contact engine routed %v, want pairwise", r)
 	}
 	eng.RunEnv(800, nil)
 	if r := eng.LastRoute(); r != RoutePairwise {
 		t.Fatalf("RunEnv on a 24-agent contact engine routed %v, want pairwise", r)
-	}
-}
-
-// TestPostingSummaryBoundary pins the posting scan across its
-// summary-word boundary (one summary word per 4,096 agents). Identical
-// fleets of exactly 4,096 agents (one summary word) and 4,097 (two)
-// must both route inverted and meet every pair. The bridged fleet is
-// the run whose walk crosses summary words from rows that start
-// saturated: ids 0–63 and 4,096–4,159 share a small channel set while
-// ids 64–4,095 each sit on a private channel, so a high agent's row
-// words 1–63 are seeded full and its live words sit in summary words 0
-// and 1. It must reproduce the pairwise decomposition at one worker
-// and at three, with and without a blocking environment.
-func TestPostingSummaryBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds 4k-agent engines")
-	}
-	s := mustCyclic(t, []int{1, 2})
-	for _, agents := range []int{4096, 4097} {
-		fleet := make([]Agent, agents)
-		for i := range fleet {
-			fleet[i] = Agent{Name: fmt.Sprintf("a%05d", i), Sched: s}
-		}
-		eng, err := NewEngine(fleet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := eng.RunJointParallelEnv(64, 2, nil)
-		if r := eng.LastRoute(); r != RouteInverted {
-			t.Fatalf("agents=%d routed %v, want %v", agents, r, RouteInverted)
-		}
-		// Identical constant schedules: every pair meets at its mutual
-		// wake slot, so the meeting count is the full pair count.
-		if got, want := res.MetCount(), agents*(agents-1)/2; got != want {
-			t.Fatalf("agents=%d met %d pairs, want %d", agents, got, want)
-		}
-	}
-
-	const bridged, horizon = 4160, 1024
-	rng := rand.New(rand.NewSource(71))
-	fleet := make([]Agent, bridged)
-	for i := range fleet {
-		a := Agent{Name: fmt.Sprintf("b%05d", i), Sched: mustCyclic(t, []int{100 + i})}
-		if i < 64 || i >= 4096 {
-			seq := make([]int, 2+rng.Intn(4))
-			for k := range seq {
-				seq[k] = 1 + rng.Intn(4)
-			}
-			a.Sched, a.Wake = mustCyclic(t, seq), rng.Intn(300)
-		}
-		fleet[i] = a
-	}
-	eng, err := NewEngine(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, env := range []Environment{nil, evenSlotsBlocked{}} {
-		want := pairwiseRun(eng, horizon, env).Meetings()
-		high := 0
-		for _, m := range want {
-			if m.A >= "b04096" && m.B >= "b04096" {
-				high++
-			}
-		}
-		if high == 0 {
-			t.Fatalf("env=%v: fixture has no meeting inside summary word 1", env)
-		}
-		for _, workers := range []int{1, 3} {
-			got := eng.RunJointParallelEnv(horizon, workers, env)
-			if r := eng.LastRoute(); r != RouteInverted {
-				t.Fatalf("bridged env=%v workers=%d routed %v, want %v", env, workers, r, RouteInverted)
-			}
-			if !slices.Equal(got.Meetings(), want) {
-				t.Fatalf("bridged env=%v workers=%d: %d meetings diverged from the pairwise decomposition's %d",
-					env, workers, got.MetCount(), len(want))
-			}
-		}
 	}
 }
 

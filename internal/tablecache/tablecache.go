@@ -1,25 +1,18 @@
 // Package tablecache is the shared compiled-table cache behind the
-// simulator's reuse layer: an LRU of immutable schedule evaluation
-// artifacts — verified hop tables (schedule.Compile), dense-id tables
-// (schedule.CompileDense), and horizon prefix tables
-// (schedule.DensePrefix) — keyed by the schedule's canonical parameters
-// (schedule.KeyOf) plus, for dense tables, the owning engine's channel
-// universe fingerprint. Sweep drivers, repeated scenario runs and
-// rvserve's sessions build a given table once and share it.
-//
-// A prefix entry holds the longest prefix built for its schedule and
-// serves every shorter request. put's one rule, the larger value wins,
-// keeps it longest: only prefix tables differ in size.
+// simulator's reuse layer: an LRU of immutable verified hop tables
+// (schedule.Compile), keyed by the schedule's canonical parameters
+// (schedule.KeyOf). Sweep drivers, repeated scenario runs and rvserve's
+// sessions build a given table once and share it.
 //
 // Entries are ref-counted: a lookup or insert pins the entry and hands
 // back a Handle; Handle.Release unpins it. Eviction walks the LRU tail
 // and only drops unpinned entries, so the cache may transiently exceed
 // its byte budget while pinned. Pinning is bookkeeping, not a
-// correctness mechanism — entries are immutable, so even an evicted or
-// replaced table held by a live engine stays valid; eviction only costs
-// a rebuild on the next miss. That is what makes correctness
-// independent of the budget (CI proves it by running the golden suite
-// at a 1-byte budget).
+// correctness mechanism — entries are immutable, so even an evicted
+// table held by a live engine stays valid; eviction only costs a
+// rebuild on the next miss. That is what makes correctness independent
+// of the budget (CI proves it by running the golden suite at a 1-byte
+// budget).
 package tablecache
 
 import (
@@ -166,7 +159,7 @@ func (c *Cache) Compile(s schedule.Schedule) (schedule.Schedule, Handle) {
 		return schedule.Compile(s), Handle{}
 	}
 	key = "c|" + key
-	if v, h, ok := c.get(key, 0); ok {
+	if v, h, ok := c.get(key); ok {
 		return v.(schedule.Schedule), h
 	}
 	cs := schedule.Compile(s)
@@ -178,64 +171,12 @@ func (c *Cache) Compile(s schedule.Schedule) (schedule.Schedule, Handle) {
 	return v.(schedule.Schedule), h
 }
 
-// Dense is schedule.CompileDense through the cache. scope is the
-// caller's universe fingerprint: dense ids are positions in the
-// engine's sorted channel union, so a table is only shareable between
-// engines with identical unions.
-func (c *Cache) Dense(s schedule.Schedule, scope string, id func(ch int) int32) (*schedule.DenseTable, Handle, bool) {
-	if _, compiled := s.(*schedule.Compiled); !compiled {
-		return nil, Handle{}, false
-	}
-	if c == nil {
-		d, ok := schedule.CompileDense(s, id)
-		return d, Handle{}, ok
-	}
-	key, ok := schedule.KeyOf(s)
-	if !ok {
-		d, ok2 := schedule.CompileDense(s, id)
-		return d, Handle{}, ok2
-	}
-	key = "d|" + scope + "|" + key
-	if v, h, ok := c.get(key, 0); ok {
-		return v.(*schedule.DenseTable), h, true
-	}
-	d, ok2 := schedule.CompileDense(s, id)
-	if !ok2 {
-		return nil, Handle{}, false
-	}
-	v, h := c.put(key, d, 4*int64(d.Len()))
-	return v.(*schedule.DenseTable), h, true
-}
-
-// DensePrefix is schedule.DensePrefix through the cache, keyed by
-// (scope, schedule key): the table returned covers at least slots, and
-// a request past the entry's length counts as a miss and replaces it
-// with the longer table. Prefix tables are O(agents × horizon) to
-// build, and a re-run of the same fleet shape gets them back for free.
-func (c *Cache) DensePrefix(s schedule.Schedule, scope string, slots int, id func(ch int) int32, scratch []int) (*schedule.DenseTable, Handle) {
-	if c == nil {
-		return schedule.DensePrefix(s, slots, id, scratch), Handle{}
-	}
-	key, ok := schedule.KeyOf(s)
-	if !ok {
-		return schedule.DensePrefix(s, slots, id, scratch), Handle{}
-	}
-	key = "p|" + scope + "|" + key
-	if v, h, ok := c.get(key, 4*int64(slots)); ok {
-		return v.(*schedule.DenseTable), h
-	}
-	d := schedule.DensePrefix(s, slots, id, scratch)
-	v, h := c.put(key, d, 4*int64(d.Len()))
-	return v.(*schedule.DenseTable), h
-}
-
-// get pins and returns the entry under key if it holds at least bytes;
-// a smaller entry is a miss, like an absent one.
-func (c *Cache) get(key string, bytes int64) (any, Handle, bool) {
+// get pins and returns the entry under key.
+func (c *Cache) get(key string) (any, Handle, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.table[key]
-	if !ok || e.bytes < bytes {
+	if !ok {
 		c.misses++
 		return nil, Handle{}, false
 	}
@@ -247,9 +188,9 @@ func (c *Cache) get(key string, bytes int64) (any, Handle, bool) {
 }
 
 // put inserts val under key pinned, evicting cold entries past the
-// budget. The larger value wins (values under one key agree wherever
-// both are defined): a smaller entry's value is replaced, and its
-// holders keep reading the old, immutable one.
+// budget. An entry a concurrent miss inserted first keeps its value:
+// both are verified tables of one schedule, and every caller then
+// shares that one.
 func (c *Cache) put(key string, val any, bytes int64) (any, Handle) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,12 +198,9 @@ func (c *Cache) put(key string, val any, bytes int64) (any, Handle) {
 	if ok {
 		c.unlink(e)
 	} else {
-		e = &entry{key: key}
+		e = &entry{key: key, val: val, bytes: bytes}
 		c.table[key] = e
-	}
-	if !ok || bytes > e.bytes {
-		c.bytes += bytes - e.bytes
-		e.val, e.bytes = val, bytes
+		c.bytes += bytes
 	}
 	e.refs++
 	c.pushFront(e)

@@ -177,118 +177,6 @@ func TestLRUEvictsColdestFirst(t *testing.T) {
 	}
 }
 
-func TestDenseScopesByUniverse(t *testing.T) {
-	c := New(1 << 20)
-	s := mustCyclic(t, seq(1, 8))
-	cs, h := c.Compile(s)
-	defer h.Release()
-	ident := func(ch int) int32 { return int32(ch) }
-	shift := func(ch int) int32 { return int32(ch + 100) }
-
-	d1, h1, ok1 := c.Dense(cs, "uniA", ident)
-	d2, h2, ok2 := c.Dense(cs, "uniA", ident)
-	d3, h3, ok3 := c.Dense(cs, "uniB", shift)
-	defer h1.Release()
-	defer h2.Release()
-	defer h3.Release()
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatalf("Dense ok = %v %v %v, want all true", ok1, ok2, ok3)
-	}
-	if d1 != d2 {
-		t.Fatalf("same scope returned distinct dense tables")
-	}
-	if d1 == d3 {
-		t.Fatalf("different scopes shared a dense table")
-	}
-	if _, _, ok := c.Dense(s, "uniA", ident); ok {
-		t.Fatalf("Dense accepted an uncompiled schedule")
-	}
-}
-
-// TestDensePrefixKeepsLongest pins the prefix entry's keying: one
-// entry per (scope, schedule) holds the longest prefix built. A request
-// it covers is a hit on that table, a longer one is a miss that builds
-// and replaces it, and the holder of the replaced table keeps reading
-// it.
-func TestDensePrefixKeepsLongest(t *testing.T) {
-	c := New(1 << 20)
-	s := mustCyclic(t, seq(1, 8))
-	ident := func(ch int) int32 { return int32(ch) }
-	scratch := make([]int, 256)
-
-	p1, h1 := c.DensePrefix(s, "uni", 512, ident, scratch)
-	p2, h2 := c.DensePrefix(s, "uni", 1024, ident, scratch)
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("after 512 then 1,024 slots, stats = %+v; want 2 misses (the longer request builds)", st)
-	}
-	p3, h3 := c.DensePrefix(s, "uni", 512, ident, scratch)
-	defer h1.Release()
-	defer h2.Release()
-	defer h3.Release()
-	if p3 != p2 {
-		t.Fatalf("the 512-slot request got a %d-slot table, want the 1,024-slot entry", p3.Len())
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Bytes != 4096 || st.Hits != 1 || st.Misses != 2 || st.Refs != 3 {
-		t.Fatalf("stats = %+v; want one 4,096-byte entry, 1 hit, 2 misses, 3 pins", st)
-	}
-	if p1.Len() != 512 || p2.Len() != 1024 {
-		t.Fatalf("prefix lengths = %d, %d; want 512, 1,024", p1.Len(), p2.Len())
-	}
-	checkPrefix(t, s, p1)
-	checkPrefix(t, s, p2)
-}
-
-// TestDensePrefixConcurrentLengths races requests for two lengths on
-// one key: whichever order the builds land in, every caller gets a
-// table covering its request, and the entry ends with the longer one.
-func TestDensePrefixConcurrentLengths(t *testing.T) {
-	c := New(1 << 20)
-	s := mustCyclic(t, seq(1, 8))
-	ident := func(ch int) int32 { return int32(ch) }
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			scratch := make([]int, 256)
-			var err error
-			for i := 0; i < 50 && err == nil; i++ {
-				slots := 512 << ((g + i) % 2)
-				d, h := c.DensePrefix(s, "uni", slots, ident, scratch)
-				if !d.Covers(slots) {
-					err = fmt.Errorf("request for %d slots got a %d-slot table", slots, d.Len())
-				}
-				h.Release()
-			}
-			done <- err
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Bytes != 4096 || st.Refs != 0 {
-		t.Fatalf("stats = %+v; want one unpinned 4,096-byte entry", st)
-	}
-	d, h := c.DensePrefix(s, "uni", 1, ident, make([]int, 256))
-	defer h.Release()
-	if d.Len() != 1024 {
-		t.Fatalf("entry holds a %d-slot table, want the longer 1,024", d.Len())
-	}
-	checkPrefix(t, s, d)
-}
-
-// checkPrefix compares every slot of a prefix table with the schedule.
-func checkPrefix(t *testing.T, s schedule.Schedule, d *schedule.DenseTable) {
-	t.Helper()
-	got := make([]int32, d.Len())
-	d.FillBlock(got, 0)
-	for slot, id := range got {
-		if want := int32(s.Channel(slot)); id != want {
-			t.Fatalf("%d-slot table: slot %d = %d, want %d", d.Len(), slot, id, want)
-		}
-	}
-}
-
 func TestConcurrentCompile(t *testing.T) {
 	c := New(1 << 20)
 	done := make(chan error, 8)

@@ -83,10 +83,10 @@ type Result = simulator.Result
 
 // Engine is the slot-synchronous multi-agent simulator. RunParallel
 // computes every pair's first meeting on a worker pool via an exact
-// decomposition — pairwise scans for small fleets, a time-sharded joint
-// scan (RunJointParallel) once the meetable-pair count is large — and
-// Run is RunParallel at one worker; the Result is identical at any
-// worker count. RunEnv and RunParallelEnv are the same runs under an
+// decomposition — one pairwise scan per meetable pair, which skips the
+// windows where the pair hops no common channel — and Run is
+// RunParallel at one worker; the Result is identical at any worker
+// count. RunEnv and RunParallelEnv are the same runs under an
 // Environment.
 type Engine = simulator.Engine
 
@@ -99,10 +99,10 @@ type Environment = simulator.Environment
 // Session is a reusable run context on an Engine (Engine.Session): it
 // recycles the result arrays across runs, so re-running a fleet shape
 // with new horizons or environments allocates ~nothing at steady state.
-// The engine builds its hop tables once — borrowing from a process-wide
-// cache shared with every other engine of equal shape — and Session
-// re-runs then cost only the scan itself. Not safe for concurrent use;
-// open one session per goroutine.
+// The engine compiles a schedule's hop table once a horizon spans two
+// of its periods — borrowing from a process-wide cache shared with
+// every other engine — and Session re-runs then cost only the scan
+// itself. Not safe for concurrent use; open one session per goroutine.
 type Session = simulator.Session
 
 // Scenario describes a network-scale workload: a fleet whose channel
