@@ -53,7 +53,7 @@ bench-check:
 # over under -race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows|TestCancelMidRun|TestCancelSerialRun|TestCancelAfterEarlyExit|TestRunParallelDegenerate|TestConcurrentRunsOnOneEngine|TestSessionShrinkThenGrowHorizon' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows|TestCancelMidRun|TestCancelSerialRun|TestCancelAfterEarlyExit|TestRunParallelDegenerate|TestSessionScratchReuse|TestConcurrentRunsOnOneEngine|TestSessionShrinkThenGrowHorizon' ./internal/simulator
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

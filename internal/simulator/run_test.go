@@ -53,9 +53,8 @@ func slotRun(e *Engine, horizon int, env Environment) *Result {
 
 // TestRunParallelDegenerate covers the edges: zero and short horizons,
 // horizons one slot either side of a window, fleets with nothing
-// meetable, and repeated runs on one engine under environments (the
-// pooled pair list and block rings must not leak state between runs,
-// nor may the result slots a previous run left behind).
+// meetable, and repeated runs on one engine (the pooled pair list and
+// block rings must not leak state between runs).
 func TestRunParallelDegenerate(t *testing.T) {
 	a := mustCyclic(t, []int{1, 2})
 	b := mustCyclic(t, []int{2, 1})
@@ -91,9 +90,13 @@ func TestRunParallelDegenerate(t *testing.T) {
 	if got := lone.RunParallel(500, 4); got.MetCount() != 0 {
 		t.Fatalf("disjoint fleet met: %d", got.MetCount())
 	}
-	// One session re-run across horizons and environments on a mixed
-	// fleet: each run must match the oracle, whatever the last left in
-	// the recycled result and scratch.
+}
+
+// TestSessionScratchReuse re-runs one session across horizons and
+// environments on a mixed fleet: each run must match the oracle,
+// whatever the last left in the recycled result, pair list and block
+// rings.
+func TestSessionScratchReuse(t *testing.T) {
 	mixed, err := NewEngine(jointTestFleet(t, rand.New(rand.NewSource(59)), 20))
 	if err != nil {
 		t.Fatal(err)

@@ -286,8 +286,7 @@ func intersectionSize(a, b []int) int {
 }
 
 // TestRunParallelMatchesRun: Run and RunParallel must reproduce the
-// per-slot oracle exactly, at every worker count, and, on a mixed fleet
-// with churn, under environments too.
+// per-slot oracle exactly, at every worker count.
 func TestRunParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var agents []Agent
@@ -321,6 +320,12 @@ func TestRunParallelMatchesRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunParallelEnvMatchesOracle drives RunParallelEnv on a mixed fleet
+// with churn across worker counts and environments against the per-slot
+// oracle.
+func TestRunParallelEnvMatchesOracle(t *testing.T) {
 	mixed, err := NewEngine(jointTestFleet(t, rand.New(rand.NewSource(23)), 9))
 	if err != nil {
 		t.Fatal(err)
