@@ -45,15 +45,16 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The pairwise scan's workers write their pairs' meetings straight into
-# one shared Result and draw their block rings from a process-wide pool,
-# whose slots carry each window's hop mask and fill state from run to
-# run, so its ring, chunk and cold-window tests, and the dense-engine
-# cancellation, session and concurrent-run tests, also run ten times
-# over under -race.
+# The pairwise scan's workers write their pairs' meeting words straight
+# into one shared Result, fold each chunk's tally into it under one
+# lock, and draw their block rings from a process-wide pool, whose
+# slots carry each window's hop mask and fill state from run to run, so
+# its ring, chunk and cold-window tests, the dense-engine cancellation,
+# session and concurrent-run tests, and the result-representation tests
+# also run ten times over under -race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows|TestCancelMidRun|TestCancelSerialRun|TestCancelAfterEarlyExit|TestRunParallelDegenerate|TestSessionScratchReuse|TestConcurrentRunsOnOneEngine|TestSessionShrinkThenGrowHorizon' ./internal/simulator
+	$(GO) test -race -count=10 -run 'TestPairwiseRingAndChunks|TestPairwiseFillsOncePerWindow|TestPairwiseSkipsColdWindows|TestCancelMidRun|TestCancelSerialRun|TestCancelAfterEarlyExit|TestRunParallelDegenerate|TestSessionScratchReuse|TestConcurrentRunsOnOneEngine|TestSessionShrinkThenGrowHorizon|TestResultOneWordPerPair|TestMeetingAtSlotZero|TestCancelledTallyMatchesMeetings' ./internal/simulator
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -225,14 +226,15 @@ serve-chaos:
 # committed expected file:
 #   - the 1M-agent contact fleet (`rvsim -scenario sparse`: derivation,
 #     contact graph, engine build, the pairwise scan over 167k eligible
-#     in-range pairs, summary), 8–14 s and 780–803 MiB per run depending
-#     on host load; at one worker the pairwise scan is one chunk with one
-#     block ring; at several, workers claim chunks of the pair list; both
-#     skip the windows where a pair's hop masks are disjoint;
+#     in-range pairs, summary), 7–14 s and about 690 MiB per run
+#     depending on host load; at one worker the pairwise scan is one
+#     chunk with one block ring; at several, workers claim chunks of the
+#     pair list; both skip the windows where a pair's hop masks are
+#     disjoint;
 #   - a 5,000-agent dense fleet (`rvsim -scenario churn-pu`), the
 #     pairwise scan over its 4.1M meetable pairs of triangular pair
-#     state, about 3.1–3.5 s and 423 MiB at one worker, 2.1–2.3 s and
-#     362 MiB at the default.
+#     state, about 2.2–2.5 s and 234 MiB at one worker, 1.5–2.0 s and
+#     172 MiB at the default.
 # Timings are for a 2-vCPU host; the nightly workflow runs it, `make ci`
 # does not.
 network-smoke:

@@ -369,7 +369,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 // worker. The §3.2 schedule's 30,240-slot period is over half the
 // horizon, so no schedule compiles and no run borrows a table:
 // fresh-warm reads 0 hits/op, and the three rows differ by the engine
-// build and the result arrays alone. The rows once timed dense and
+// build and the result's pair words alone. The rows once timed dense and
 // horizon-prefix tables, which left with the posting scan that read
 // them; their names are kept so they line up with the committed
 // trajectory.

@@ -467,12 +467,13 @@ func CheckScenarioDeterminism(c FleetCase) error {
 }
 
 // CheckFleetSummarize is the coverage oracle: Fleet.Summarize, which
-// reads eligible pairs off the engine's meetable count and folds the
-// rest over the run's met bitset, must equal both per-pair reference
-// definitions — Summarize (all pairs, name lookups) and
-// SummarizeContact (contact edges) — field for field. Every fleet is
-// checked through one reused session across four horizons, so the
-// meetable cache and the recycled met bitset are on the hook too: half
+// reads eligible pairs off the engine's meetable count and the rest
+// off the tally the run folded as it recorded meetings, must equal
+// both per-pair reference definitions — Summarize (all pairs, name
+// lookups) and SummarizeContact (contact edges) — field for field.
+// Every fleet is checked through one reused session across four
+// horizons, so the meetable cache and the recycled pair words and
+// tally are on the hook too: half
 // and all of the scenario's horizon, and the fleet's last wake and one
 // past it, on either side of the point past which eligibility stops
 // changing.

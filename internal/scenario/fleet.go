@@ -65,7 +65,8 @@ func (f *Fleet) Graph() *ContactGraph {
 // Summarize computes discovery coverage for a run of this fleet
 // straight from the run's pair state (simulator.Engine.Tally): eligible
 // pairs are the engine's meetable-pair count for the horizon, and the
-// met count, mean TTR and last slot fold over the recorded meetings.
+// met count, mean TTR and last slot come from the tally the run folded
+// as it recorded meetings.
 // It equals Summarize and SummarizeContact, the per-pair reference
 // definitions. res must be a run of f.Eng (or a Session on it) at
 // horizon; anything else is a programming error and panics.

@@ -68,10 +68,13 @@ func waitStatus(t *testing.T, j *Job, leaving JobStatus) {
 
 // TestShedQueueFullHTTP pins the overload contract: a full queue sheds
 // with 429 and a positive integer Retry-After, and the shed counter
-// lands in /v1/stats.
+// lands in /v1/stats. The PreRun seam holds the first job until the
+// shed POST is answered, so the worker stays busy however loaded the
+// host is.
 func TestShedQueueFullHTTP(t *testing.T) {
 	withIsolatedCache(t)
-	srv := NewServer(Config{Workers: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	srv := NewServer(Config{Workers: 1, QueueDepth: 1, PreRun: func(*Job) { <-release }})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -116,6 +119,7 @@ func TestShedQueueFullHTTP(t *testing.T) {
 	for _, id := range []string{drainJobID(t, 0), drainJobID(t, 1)} {
 		srv.Manager().Cancel(id)
 	}
+	close(release)
 	if rep := srv.Drain(time.Minute); rep.Pinned != 0 {
 		t.Fatalf("drain left pins: %+v", rep)
 	}
@@ -149,10 +153,13 @@ func TestShedDrainingHTTP(t *testing.T) {
 
 // TestShedQuotaHTTP pins the per-fleet admission quota: a second live
 // job for the same fleet shape sheds with 429 + Retry-After while a
-// different fleet is still admitted, and the rejection is counted.
+// different fleet is still admitted, and the rejection is counted. The
+// PreRun seam holds the first job until those POSTs are answered, so
+// it is still live when they arrive however loaded the host is.
 func TestShedQuotaHTTP(t *testing.T) {
 	withIsolatedCache(t)
-	srv := NewServer(Config{Workers: 1, MaxPerFleet: 1})
+	release := make(chan struct{})
+	srv := NewServer(Config{Workers: 1, MaxPerFleet: 1, PreRun: func(*Job) { <-release }})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -186,6 +193,7 @@ func TestShedQuotaHTTP(t *testing.T) {
 	}
 
 	srv.Manager().Cancel(drainJobID(t, 0))
+	close(release)
 	if rep := srv.Drain(time.Minute); rep.Pinned != 0 {
 		t.Fatalf("drain left pins: %+v", rep)
 	}
@@ -212,10 +220,13 @@ func TestQuotaReleasedOnCompletion(t *testing.T) {
 // running job (the engine stops at a block-window boundary, no result),
 // a second DELETE evicts the terminal job, and a fresh resubmission of
 // the same spec then runs to completion — byte-identical to a control
-// run, proving cancellation leaves no state behind.
+// run, proving cancellation leaves no state behind. The PreRun seam
+// holds the running job until the DELETE is answered, so the cancel
+// always finds it running however loaded the host is.
 func TestCancelJobHTTP(t *testing.T) {
 	cache := withIsolatedCache(t)
-	srv := NewServer(Config{Workers: 1, Cache: cache})
+	release := make(chan struct{})
+	srv := NewServer(Config{Workers: 1, Cache: cache, PreRun: func(*Job) { <-release }})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -242,6 +253,7 @@ func TestCancelJobHTTP(t *testing.T) {
 	if jr.Status != StatusCanceled || jr.Result != nil {
 		t.Fatalf("cancel response = %+v, want canceled with no result", jr)
 	}
+	close(release)
 	job.Wait() // done channel closed by the cancel
 
 	// Second DELETE evicts the terminal job; the id then 404s.
@@ -290,10 +302,13 @@ func TestCancelJobHTTP(t *testing.T) {
 
 // TestCancelRunningJob cancels a job mid-run through the manager: the
 // status settles canceled with no result, the drain census counts it,
-// and no cache pin leaks.
+// and no cache pin leaks. The PreRun seam holds the running job until
+// the cancel lands, so it always finds the job running however loaded
+// the host is.
 func TestCancelRunningJob(t *testing.T) {
 	cache := withIsolatedCache(t)
-	mgr := NewManager(Config{Workers: 1, Cache: cache})
+	release := make(chan struct{})
+	mgr := NewManager(Config{Workers: 1, Cache: cache, PreRun: func(*Job) { <-release }})
 	job, _, err := mgr.Submit(drainSpec(0))
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +317,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if _, ok := mgr.Cancel(job.ID); !ok {
 		t.Fatal("Cancel lost the job")
 	}
+	close(release)
 	job.Wait()
 	if status, msg, res := job.Snapshot(); status != StatusCanceled || res != nil || msg == "" {
 		t.Fatalf("canceled job snapshot = %s %q %v", status, msg, res)

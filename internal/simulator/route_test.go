@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 )
 
 // routeFleet builds agents whose every pair within a group is meetable
@@ -194,6 +195,42 @@ func TestPairwiseFallbackAtHugeHorizon(t *testing.T) {
 		}
 		if r := eng.LastRoute(); r != RoutePairwise {
 			t.Fatalf("%s at horizon %d routed %v, want pairwise", name, huge, r)
+		}
+	}
+}
+
+// TestPairwiseScanAtMaxIntHorizon pins wakes in the last window below
+// math.MaxInt: the scan clamps each window's end to the horizon before
+// adding, so the end cannot wrap negative and keep a pair live forever
+// without polling its Canceler. Two agents meet at their common wake,
+// math.MaxInt−10, with TTR 0, and a third, awake 290 slots earlier (in
+// the window before), hops the other way round at an even offset and
+// never co-hops with either. A timer guards each run, so a regression
+// fails the test instead of hanging it.
+func TestPairwiseScanAtMaxIntHorizon(t *testing.T) {
+	const wake = math.MaxInt - 10
+	eng, err := NewEngine([]Agent{
+		{Name: "a", Sched: mustCyclic(t, []int{1, 2}), Wake: wake},
+		{Name: "b", Sched: mustCyclic(t, []int{1, 2}), Wake: wake},
+		{Name: "c", Sched: mustCyclic(t, []int{2, 1}), Wake: wake - 290},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderMeetings(slotRun(eng, math.MaxInt, nil))
+	if want != fmt.Sprintf("a-b@%d ch1 ttr0; ", wake) {
+		t.Fatalf("fixture: oracle reads %s", want)
+	}
+	for _, workers := range []int{1, 3} {
+		done := make(chan string, 1)
+		go func() { done <- renderMeetings(eng.RunParallel(math.MaxInt, workers)) }()
+		select {
+		case got := <-done:
+			if got != want {
+				t.Fatalf("workers=%d: %s, want %s", workers, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: a run at horizon math.MaxInt did not return within 10 s", workers)
 		}
 	}
 }

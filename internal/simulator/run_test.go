@@ -32,23 +32,33 @@ func jointTestFleet(t *testing.T, rng *rand.Rand, agents int) []Agent {
 // slotRun is the in-package oracle: the slot model transcribed pair by
 // pair and slot by slot through Channel, sharing no block, mask, ring
 // or chunk code with the pairwise scan. It visits every pair-space
-// slot, meetable or not, so it also checks the scan's pruning.
+// slot, meetable or not, so it also checks the scan's pruning, and
+// tallies its meetings by a walk over them (foldMeetings).
 func slotRun(e *Engine, horizon int, env Environment) *Result {
 	res := e.newResult(horizon)
 	e.ps.forEach(func(p, i, j int) {
 		a, b := e.agents[i], e.agents[j]
-		both := max(a.Wake, b.Wake)
-		for t := both; t < min(a.end(horizon), b.end(horizon)); t++ {
+		for t := max(a.Wake, b.Wake); t < min(a.end(horizon), b.end(horizon)); t++ {
 			ch := a.Sched.Channel(t - a.Wake)
 			if ch == b.Sched.Channel(t-b.Wake) && (env == nil || env.Available(ch, t)) {
-				res.store(p, t, ch, both)
-				res.met[p>>6] |= 1 << (p & 63)
-				res.metCount++
+				res.first[p] = t + 1
 				return
 			}
 		}
 	})
+	res.tally = foldMeetings(res.Meetings())
 	return res
+}
+
+// foldMeetings is the tally of ms (Meetable left zero), folded meeting
+// by meeting.
+func foldMeetings(ms []Meeting) (t PairTally) {
+	for _, m := range ms {
+		t.Met++
+		t.TTRSum += int64(m.TTR)
+		t.LastSlot = max(t.LastSlot, m.Slot)
+	}
+	return t
 }
 
 // TestRunParallelDegenerate covers the edges: zero and short horizons,
@@ -166,7 +176,7 @@ func TestHopSetOrderInvisible(t *testing.T) {
 		}
 		engs[k] = eng
 	}
-	if slices.Equal(engs[0].names, engs[1].names) {
+	if slices.EqualFunc(engs[0].agents, engs[1].agents, func(a, b Agent) bool { return a.Name == b.Name }) {
 		t.Fatal("fixture: both input orders gave the same engine ids")
 	}
 	for _, workers := range []int{1, 2} {

@@ -4,8 +4,8 @@ package simulator
 // steady-state re-run (same fleet, any horizon/environment) performs
 // ~zero allocations: the engine's pooled scratch — the pair list, the
 // block rings, the compiled tables — already survives across runs, and
-// the session closes the last gap by reusing the O(pairs) result arrays
-// too. This is the reuse layer sweep drivers and
+// the session closes the last gap by reusing the result's O(pairs)
+// pair words too. This is the reuse layer sweep drivers and
 // a long-running rvserve sit on: build the engine once, then run many.
 //
 // A session is NOT safe for concurrent use — each run rewrites the one
@@ -67,14 +67,12 @@ func (s *Session) result(horizon int) *Result {
 	return s.res
 }
 
-// reset rewinds a result for reuse: the met bitset and count are
-// cleared; slot/channel/ttr stay dirty, which is sound because every
-// reader guards on the met bit, and a run marks each pair it scans
-// unmet before scanning it.
+// reset rewinds a result for reuse: every pair slot's word reads
+// unmet again and the tally is empty.
 func (r *Result) reset(horizon int) {
 	r.Horizon = horizon
-	clear(r.met)
-	r.metCount = 0
+	clear(r.first)
+	r.tally = PairTally{}
 }
 
 // Run is Engine.Run into the session's recycled result: RunParallel at

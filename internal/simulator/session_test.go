@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rendezvous/internal/schedule"
 	"rendezvous/internal/tablecache"
 )
 
@@ -141,13 +142,12 @@ func prefixFleet(t *testing.T, agents, period int) []Agent {
 }
 
 // TestSessionShrinkThenGrowHorizon pins the Result.reset contract:
-// reset clears only the met bitset and count, leaving slot/channel/ttr
-// populated from the previous (possibly much longer) run, so every
-// reader must guard on the met bit. A session run at a large horizon,
-// then re-run at a small one, then grown again must agree exactly —
-// meetings, met counts, and per-pair misses — with fresh single-use
-// engines run through the per-slot oracle at each horizon. A reader
-// that ever consulted a stale slot/channel/ttr entry (recorded beyond
+// reset returns every pair word to unmet and empties the tally, so
+// nothing a previous (possibly much longer) run recorded survives. A
+// session run at a large horizon, then re-run at a small one, then
+// grown again must agree exactly — meetings, met counts, and per-pair
+// misses — with fresh single-use engines run through the per-slot
+// oracle at each horizon. A stale pair word or tally (recorded beyond
 // the shrunken horizon) would diverge here.
 func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 	defer simRestoreCache(t)()
@@ -198,7 +198,7 @@ func TestSessionShrinkThenGrowHorizon(t *testing.T) {
 		}
 	}
 
-	// Large first run populates slot/channel/ttr with late meetings;
+	// Large first run records late meetings in the pair words;
 	// the shrink must not resurrect any of them, and the grow must
 	// rediscover them from scratch.
 	for _, horizon := range []int{16384, 1024, 256, 4096, 16384} {
@@ -230,7 +230,7 @@ func TestEligibilityReusedPastLastWake(t *testing.T) {
 		for i := range fleet {
 			for j := i + 1; j < len(fleet); j++ {
 				if Coexist(fleet[i], fleet[j], horizon) &&
-					SetsIntersect(allChannels(fleet[i].Sched), allChannels(fleet[j].Sched)) {
+					SetsIntersect(schedule.AllChannels(fleet[i].Sched), schedule.AllChannels(fleet[j].Sched)) {
 					n++
 				}
 			}

@@ -219,7 +219,7 @@ func TestWorkloadGenerators(t *testing.T) {
 		if len(w.A) != ka || len(w.B) != kb {
 			t.Fatalf("sizes: %+v want ka=%d kb=%d", w, ka, kb)
 		}
-		if !sortedIntersect(w.A, w.B) {
+		if !SetsIntersect(w.A, w.B) {
 			t.Fatalf("no overlap: %+v", w)
 		}
 		checkInRange(t, n, w.A)
@@ -238,7 +238,7 @@ func TestWorkloadGenerators(t *testing.T) {
 func TestAdversarialPairsValid(t *testing.T) {
 	for _, n := range []int{4, 8, 64, 1024} {
 		for _, w := range AdversarialPairs(n) {
-			if !sortedIntersect(w.A, w.B) {
+			if !SetsIntersect(w.A, w.B) {
 				t.Fatalf("n=%d: adversarial pair does not overlap: %+v", n, w)
 			}
 			checkInRange(t, n, w.A)

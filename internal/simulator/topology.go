@@ -11,7 +11,7 @@ import (
 // Contact topology: the spatial side of network scale.
 //
 // Every earlier engine is topology-free — any two agents hopping a
-// common channel meet, so pair state (met bits, first-hit slots) is
+// common channel meet, so pair state (a first-meeting word per pair) is
 // triangular over all n(n−1)/2 pairs and walks straight into an
 // O(agents²) memory wall (≈4 TB of hit state at one million agents).
 // A real cognitive radio network is spatially sparse: only in-range

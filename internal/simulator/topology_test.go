@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rendezvous/internal/schedule"
 )
 
 // randomTopology scatters n agents uniformly over a cellsX×cellsY grid
@@ -50,23 +52,23 @@ func contactTwins(t *testing.T, fleet []Agent, topo *ContactTopology) (contact, 
 
 // inRangeOnly is the contact engine's oracle: full, a result of fleet
 // on a topology-free engine, with the meetings of pairs that ct puts
-// out of range (by the raw positions) dropped. A topology-free engine
-// orders its ids by hop set, so each pair slot's engine ids are mapped
-// back to input indices through the agents' names before the range
-// test.
+// out of range (by the raw positions) dropped and the rest re-tallied.
+// A topology-free engine orders its ids by hop set, so each pair slot's
+// engine ids are mapped back to input indices through the agents' names
+// before the range test.
 func inRangeOnly(full *Result, fleet []Agent, ct *ContactTopology) *Result {
 	input := make(map[string]int, len(fleet))
 	for i, a := range fleet {
 		input[a.Name] = i
 	}
 	res := *full
-	res.met = slices.Clone(full.met)
+	res.first = slices.Clone(full.first)
 	full.ps.forEach(func(p, i, j int) {
-		if res.isMet(p) && !inRange(ct, input[full.names[i]], input[full.names[j]]) {
-			res.met[p>>6] &^= 1 << (p & 63)
-			res.metCount--
+		if !inRange(ct, input[full.agents[i].Name], input[full.agents[j].Name]) {
+			res.first[p] = 0
 		}
 	})
+	res.tally = foldMeetings(res.Meetings())
 	return &res
 }
 
@@ -240,7 +242,7 @@ func TestContactPairSpaceIndex(t *testing.T) {
 	}
 	// inRangeIDs is the raw-position range test on engine ids, which
 	// are cell-major, not input order.
-	inRangeIDs := func(i, j int) bool { return inRange(ct, input[eng.names[i]], input[eng.names[j]]) }
+	inRangeIDs := func(i, j int) bool { return inRange(ct, input[eng.agents[i].Name], input[eng.agents[j].Name]) }
 	ps := eng.ps
 	last, slots := -1, 0
 	ps.forEach(func(p, i, j int) {
@@ -287,7 +289,7 @@ func TestMeetablePairsContact(t *testing.T) {
 	for i := 0; i < 36; i++ {
 		for j := i + 1; j < 36; j++ {
 			if !Coexist(fleet[i], fleet[j], horizon) ||
-				!SetsIntersect(allChannels(fleet[i].Sched), allChannels(fleet[j].Sched)) {
+				!SetsIntersect(schedule.AllChannels(fleet[i].Sched), schedule.AllChannels(fleet[j].Sched)) {
 				continue
 			}
 			if inRange(ct, i, j) {

@@ -78,7 +78,9 @@ type Agent = simulator.Agent
 // simulation run.
 type Meeting = simulator.Meeting
 
-// Result holds the outcome of a simulation run.
+// Result holds the outcome of a simulation run: each pair's
+// first-meeting slot, one word per pair, from which a Meeting's
+// channel and TTR are derived when it is read.
 type Result = simulator.Result
 
 // Engine is the slot-synchronous multi-agent simulator. RunParallel
@@ -97,11 +99,11 @@ type Engine = simulator.Engine
 type Environment = simulator.Environment
 
 // Session is a reusable run context on an Engine (Engine.Session): it
-// recycles the result arrays across runs, so re-running a fleet shape
-// with new horizons or environments allocates ~nothing at steady state.
-// The engine compiles a schedule's hop table once a horizon spans two
-// of its periods — borrowing from a process-wide cache shared with
-// every other engine — and Session re-runs then cost only the scan
+// recycles the result's pair words across runs, so re-running a fleet
+// shape with new horizons or environments allocates ~nothing at steady
+// state. The engine compiles a schedule's hop table once a horizon
+// spans two of its periods — borrowing from a process-wide cache shared
+// with every other engine — and Session re-runs then cost only the scan
 // itself. Not safe for concurrent use; open one session per goroutine.
 type Session = simulator.Session
 
